@@ -22,8 +22,8 @@
 //! layers embed this state machine in different shells:
 //!
 //! * `wsi-store` builds an embedded, thread-safe transactional multi-version
-//!   store on the sharded [`ConcurrentOracle`] (or, behind a compatibility
-//!   option, on this state machine wrapped in a single mutex);
+//!   store that decides every commit under one mutex around this state
+//!   machine;
 //! * `wsi-oracle` wraps it in a simulated server with WAL persistence and a
 //!   CPU cost model to reproduce the paper's status-oracle experiments.
 //!
@@ -50,18 +50,15 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-mod batched;
 mod commit_table;
 mod error;
 mod lastcommit;
 mod oracle;
 mod policy;
 mod row;
-mod sharded;
 pub mod ssi;
 mod ts;
 
-pub use batched::{BatchedOracle, EpochObs, EpochPublisher};
 pub use commit_table::{CommitTable, TxnStatus};
 pub use error::{AbortReason, CommitOutcome, Error, Result};
 pub use lastcommit::{BoundedLastCommit, LastCommitTable, Probe, UnboundedLastCommit};
@@ -70,5 +67,4 @@ pub use policy::{
     rw_spatial_overlap, rw_temporal_overlap, spatial_overlap, temporal_overlap, IsolationLevel,
 };
 pub use row::{hash_row_key, RowId, RowRange};
-pub use sharded::{ConcurrentOracle, DecisionGuard, ShardObs, ShardedLastCommit};
 pub use ts::{SharedTimestampSource, Timestamp, TimestampSource};

@@ -16,6 +16,8 @@
 
 use std::sync::Arc;
 
+use wsi_obs::{EventData, Journal};
+
 use crate::{
     commit_table::{CommitTable, TxnStatus},
     error::{AbortReason, CommitOutcome},
@@ -54,8 +56,7 @@ impl CommitRequest {
     /// same row twice reports it twice); probing or recording a row more
     /// than once is wasted work that also inflates the oracle's
     /// `rows_checked`/`rows_recorded` counters, distorting the §6.3
-    /// read-to-write load comparison. Sorting additionally gives the
-    /// sharded oracle its canonical lock order for free.
+    /// read-to-write load comparison.
     pub fn new(start_ts: Timestamp, mut read_rows: Vec<RowId>, mut write_rows: Vec<RowId>) -> Self {
         read_rows.sort_unstable();
         read_rows.dedup();
@@ -285,44 +286,43 @@ impl TsMode {
     }
 }
 
-/// A `lastCommit` table of either flavor. Shared with the sharded oracle
-/// (`crate::sharded`), whose shards are each one of these.
+/// A `lastCommit` table of either flavor.
 #[derive(Debug, Clone)]
-pub(crate) enum Table {
+enum Table {
     Unbounded(UnboundedLastCommit),
     Bounded(BoundedLastCommit),
 }
 
 impl Table {
-    pub(crate) fn probe(&self, row: RowId) -> Probe {
+    fn probe(&self, row: RowId) -> Probe {
         match self {
             Table::Unbounded(t) => t.probe(row),
             Table::Bounded(t) => t.probe(row),
         }
     }
 
-    pub(crate) fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
+    fn record(&mut self, row: RowId, ts: Timestamp) -> usize {
         match self {
             Table::Unbounded(t) => t.record(row, ts),
             Table::Bounded(t) => t.record(row, ts),
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             Table::Unbounded(t) => t.len(),
             Table::Bounded(t) => t.len(),
         }
     }
 
-    pub(crate) fn t_max(&self) -> Timestamp {
+    fn t_max(&self) -> Timestamp {
         match self {
             Table::Unbounded(_) => Timestamp::ZERO,
             Table::Bounded(t) => t.t_max(),
         }
     }
 
-    pub(crate) fn probe_range(&self, range: RowRange) -> Probe {
+    fn probe_range(&self, range: RowRange) -> Probe {
         match self {
             Table::Unbounded(t) => t.probe_range(range.start, range.end),
             Table::Bounded(t) => t.probe_range(range.start, range.end),
@@ -330,11 +330,10 @@ impl Table {
     }
 }
 
-/// The per-row conflict predicate shared by every oracle shell (lines 2–9 of
-/// Algorithms 1–3): given the probe result for one checked row, decide
-/// whether the transaction may proceed. Factored out so the single-threaded
-/// and sharded oracles cannot drift apart.
-pub(crate) fn check_row_probe(
+/// The per-row conflict predicate (lines 2–9 of Algorithms 1–3): given the
+/// probe result for one checked row, decide whether the transaction may
+/// proceed.
+fn check_row_probe(
     level: IsolationLevel,
     row: RowId,
     probe: Probe,
@@ -361,11 +360,10 @@ pub(crate) fn check_row_probe(
     }
 }
 
-/// The §5.2 range-probe conflict predicate, shared like
-/// [`check_row_probe`]. Ranges are only checked under write-snapshot
-/// isolation; the conflicting "row" reported is the range start, which
-/// identifies the scan.
-pub(crate) fn check_range_probe(
+/// The §5.2 range-probe conflict predicate. Ranges are only checked under
+/// write-snapshot isolation; the conflicting "row" reported is the range
+/// start, which identifies the scan.
+fn check_range_probe(
     range: RowRange,
     probe: Probe,
     start_ts: Timestamp,
@@ -415,12 +413,16 @@ pub struct StatusOracleCore {
     last_commit: Table,
     commit_table: CommitTable,
     counters: OracleCounters,
+    /// Flight recorder for per-row verdicts (see
+    /// [`StatusOracleCore::with_journal`]).
+    journal: Option<Journal>,
 }
 
 impl Clone for StatusOracleCore {
     /// Clones into an independent replica: the counters are detached copies
     /// frozen at their current values, not shared handles, preserving the
     /// value semantics the struct had when statistics were plain integers.
+    /// The replica records into no journal.
     fn clone(&self) -> Self {
         StatusOracleCore {
             level: self.level,
@@ -428,6 +430,7 @@ impl Clone for StatusOracleCore {
             last_commit: self.last_commit.clone(),
             commit_table: self.commit_table.clone(),
             counters: self.counters.detached_copy(),
+            journal: None,
         }
     }
 }
@@ -443,6 +446,7 @@ impl StatusOracleCore {
             last_commit: Table::Unbounded(UnboundedLastCommit::new()),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
+            journal: None,
         }
     }
 
@@ -462,6 +466,7 @@ impl StatusOracleCore {
             last_commit: Table::Unbounded(UnboundedLastCommit::new()),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
+            journal: None,
         }
     }
 
@@ -482,6 +487,7 @@ impl StatusOracleCore {
             last_commit: Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
+            journal: None,
         }
     }
 
@@ -498,7 +504,19 @@ impl StatusOracleCore {
             last_commit: Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
             commit_table: CommitTable::new(),
             counters: OracleCounters::default(),
+            journal: None,
         }
+    }
+
+    /// Attaches a flight-recorder journal: every row [`StatusOracleCore::check`]
+    /// probes records an [`EventData::CheckRow`] verdict, carrying the
+    /// culprit's commit timestamp on a conflict, under the checked
+    /// transaction's start timestamp. `explain_abort` timelines are built
+    /// from these events.
+    #[must_use]
+    pub fn with_journal(mut self, journal: Journal) -> Self {
+        self.journal = Some(journal);
+        self
     }
 
     /// The isolation level this oracle enforces.
@@ -556,10 +574,32 @@ impl StatusOracleCore {
             IsolationLevel::Snapshot => &req.write_rows,
             IsolationLevel::WriteSnapshot => &req.read_rows,
         };
+        // One counter add per loop (early-abort exits included) keeps the
+        // per-row counts exact at a fraction of the atomic traffic.
+        let mut checked = 0u64;
+        let mut verdict = Ok(());
         for &row in check_rows {
-            self.counters.rows_checked.inc();
-            check_row_probe(self.level, row, self.last_commit.probe(row), req.start_ts)?;
+            checked += 1;
+            verdict = check_row_probe(self.level, row, self.last_commit.probe(row), req.start_ts);
+            if let Some(journal) = &self.journal {
+                journal.record(
+                    req.start_ts.raw(),
+                    EventData::CheckRow {
+                        row: row.raw(),
+                        conflict: verdict
+                            .as_ref()
+                            .err()
+                            .and_then(AbortReason::conflict_ts)
+                            .map(Timestamp::raw),
+                    },
+                );
+            }
+            if verdict.is_err() {
+                break;
+            }
         }
+        self.counters.rows_checked.add(checked);
+        verdict?;
         if self.level == IsolationLevel::WriteSnapshot {
             for &range in &req.read_ranges {
                 self.counters.ranges_checked.inc();
@@ -656,10 +696,7 @@ impl StatusOracleCore {
 
     /// Current `T_max` (always [`Timestamp::ZERO`] for unbounded oracles).
     pub fn t_max(&self) -> Timestamp {
-        match &self.last_commit {
-            Table::Unbounded(_) => Timestamp::ZERO,
-            Table::Bounded(t) => t.t_max(),
-        }
+        self.last_commit.t_max()
     }
 
     /// Number of rows resident in `lastCommit`.
@@ -668,8 +705,7 @@ impl StatusOracleCore {
     }
 
     /// Probes the `lastCommit` table for one row without counting it as a
-    /// conflict check — diagnostic access for tests and state comparison
-    /// (e.g. the sharded-oracle equivalence suite).
+    /// conflict check — diagnostic access for tests and state comparison.
     pub fn probe_row(&self, row: RowId) -> Probe {
         self.last_commit.probe(row)
     }
@@ -1049,6 +1085,55 @@ mod tests {
         o.abort_after_decide(t);
         assert_eq!(o.status(t), TxnStatus::Aborted);
         assert_eq!(o.stats().commits, 0);
+    }
+
+    #[test]
+    fn journal_records_one_verdict_per_checked_row() {
+        let journal = Journal::new();
+        let mut o = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot)
+            .with_journal(journal.clone());
+        let t1 = o.begin();
+        let t2 = o.begin();
+        let c1 = o
+            .commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])))
+            .commit_ts()
+            .unwrap();
+        // t2 reads rows 1 and 2; row 2 conflicts, so the check stops there.
+        assert!(o
+            .commit(CommitRequest::new(t2, rows(&[1, 2, 3]), rows(&[4])))
+            .is_aborted());
+        let verdicts: Vec<(u64, EventData)> = journal
+            .snapshot()
+            .into_iter()
+            .map(|e| (e.txn, e.data))
+            .collect();
+        assert_eq!(
+            verdicts,
+            vec![
+                (
+                    t1.raw(),
+                    EventData::CheckRow {
+                        row: 1,
+                        conflict: None
+                    }
+                ),
+                (
+                    t2.raw(),
+                    EventData::CheckRow {
+                        row: 1,
+                        conflict: None
+                    }
+                ),
+                (
+                    t2.raw(),
+                    EventData::CheckRow {
+                        row: 2,
+                        conflict: Some(c1.raw())
+                    }
+                ),
+            ]
+        );
+        assert_eq!(o.stats().rows_checked, 3);
     }
 
     #[test]

@@ -37,17 +37,6 @@ fn fault_matrix_wsi() {
     matrix_for(EngineKind::Wsi);
 }
 
-/// The batched-oracle column: identical WSI semantics through the epoch
-/// path, under every fault preset. Crash faults can only land between
-/// epochs (the single-threaded harness seals, plans, and publishes each
-/// epoch inside the commit call), so transactions in flight at a crash
-/// always resolve to client aborts — the counter/WAL reconciliation
-/// oracles inside `run` would catch a silently dropped request.
-#[test]
-fn fault_matrix_wsi_batched() {
-    matrix_for(EngineKind::WsiBatched);
-}
-
 #[test]
 fn fault_matrix_ssi() {
     matrix_for(EngineKind::Ssi);
@@ -70,9 +59,7 @@ fn reclamation_storm_exercises_packed_node_retirement() {
             .clients(8)
             .plan("reclamation-storm", FaultPlan::reclamation_storm(STEPS));
         let report = run(&config);
-        let rec = report
-            .reclamation
-            .expect("the arena layout reports reclamation accounting");
+        let rec = report.reclamation;
         migrations += rec.migrations;
         packed_retired += rec.packed_retired;
     }
@@ -147,7 +134,7 @@ fn replay_seed_from_env() {
     let engine = std::env::var("DST_ENGINE")
         .ok()
         .and_then(|l| EngineKind::from_label(&l))
-        .expect("DST_ENGINE must be si|wsi|wsi-batched|ssi");
+        .expect("DST_ENGINE must be si|wsi|ssi");
     let steps: u64 = std::env::var("DST_STEPS")
         .ok()
         .and_then(|s| s.parse().ok())

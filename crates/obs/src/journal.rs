@@ -66,7 +66,8 @@ pub const JOURNAL_SHARDS: usize = 4;
 /// stores, dominating past this size.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
-/// Atomic words per slot: stamp, seqno, ts_us, txn, kind, a, b, c.
+/// Atomic words per slot: stamp, seqno, ts_us, txn, kind, a, b, plus one
+/// unused word that keeps every slot on its own 64-byte cache line.
 const SLOT_WORDS: usize = 8;
 
 /// What caused an abort, with enough payload to attribute the culprit.
@@ -223,41 +224,20 @@ pub enum EventData {
         /// Row identifier.
         row: u64,
     },
-    /// The batched oracle sealed an epoch: `size` commit requests left the
-    /// intake ring and entered conflict planning as one batch.
-    EpochSeal {
-        /// Monotonic epoch number (per oracle).
-        epoch: u64,
-        /// Requests sealed into the batch.
-        size: u64,
-    },
-    /// The batched oracle published an epoch's decisions atomically:
-    /// `committed` winners became visible together, `aborted` losers were
-    /// resolved in the same step. Intra-batch victims' `CheckRow` events
-    /// carry the winning slot's real commit timestamp, so `explain_abort`
-    /// joins them to their culprits exactly as on the per-decision paths.
-    EpochPublish {
-        /// Epoch number (matches the preceding [`EventData::EpochSeal`]).
-        epoch: u64,
-        /// Requests admitted by the batch's conflict analysis.
-        committed: u64,
-        /// Requests aborted by the batch's conflict analysis.
-        aborted: u64,
-    },
 }
 
 impl EventData {
-    /// Packs into (kind-word, a, b, c). The kind word's low byte is the
+    /// Packs into (kind-word, a, b). The kind word's low byte is the
     /// variant, bits 8.. the sub-code (conflict flag / cause code).
-    fn encode(self) -> (u64, u64, u64, u64) {
+    fn encode(self) -> (u64, u64, u64) {
         match self {
-            EventData::Begin => (0, 0, 0, 0),
+            EventData::Begin => (0, 0, 0),
             EventData::CheckRow { row, conflict } => match conflict {
-                None => (1, row, 0, 0),
-                Some(ts) => (1 | (1 << 8), row, ts, 0),
+                None => (1, row, 0),
+                Some(ts) => (1 | (1 << 8), row, ts),
             },
-            EventData::Commit { commit_ts } => (2, commit_ts, 0, 0),
-            EventData::ReadOnlyCommit => (3, 0, 0, 0),
+            EventData::Commit { commit_ts } => (2, commit_ts, 0),
+            EventData::ReadOnlyCommit => (3, 0, 0),
             EventData::Abort(cause) => {
                 let (code, a, b) = match cause {
                     Cause::WriteWrite { row, committed_at } => (1u64, row, committed_at),
@@ -270,29 +250,23 @@ impl EventData {
                         out_commit_ts,
                     } => (6, in_commit_ts, out_commit_ts),
                 };
-                (4 | (code << 8), a, b, 0)
+                (4 | (code << 8), a, b)
             }
-            EventData::WalFlush { records, acked } => (5, records, acked, 0),
-            EventData::Publish { commit_ts } => (6, commit_ts, 0, 0),
-            EventData::Overturn { commit_ts } => (7, commit_ts, 0, 0),
-            EventData::GcSweep { versions, keys } => (8, versions, keys, 0),
-            EventData::EpochAdvance { epoch, freed } => (9, epoch, freed, 0),
-            EventData::Retry { attempt } => (10, attempt, 0, 0),
-            EventData::ServerRead { row, cache_hit } => (11, row, cache_hit as u64, 0),
-            EventData::ServerWrite { row } => (12, row, 0, 0),
-            EventData::EpochSeal { epoch, size } => (13, epoch, size, 0),
-            EventData::EpochPublish {
-                epoch,
-                committed,
-                aborted,
-            } => (14, epoch, committed, aborted),
+            EventData::WalFlush { records, acked } => (5, records, acked),
+            EventData::Publish { commit_ts } => (6, commit_ts, 0),
+            EventData::Overturn { commit_ts } => (7, commit_ts, 0),
+            EventData::GcSweep { versions, keys } => (8, versions, keys),
+            EventData::EpochAdvance { epoch, freed } => (9, epoch, freed),
+            EventData::Retry { attempt } => (10, attempt, 0),
+            EventData::ServerRead { row, cache_hit } => (11, row, cache_hit as u64),
+            EventData::ServerWrite { row } => (12, row, 0),
         }
     }
 
-    /// Unpacks an encoded (kind-word, a, b, c). `None` for unknown kinds
+    /// Unpacks an encoded (kind-word, a, b). `None` for unknown kinds
     /// (a torn slot that slipped past the stamp check cannot panic a
     /// reader).
-    fn decode(kind: u64, a: u64, b: u64, c: u64) -> Option<EventData> {
+    fn decode(kind: u64, a: u64, b: u64) -> Option<EventData> {
         let sub = kind >> 8;
         Some(match kind & 0xFF {
             0 => EventData::Begin,
@@ -337,12 +311,6 @@ impl EventData {
                 cache_hit: b != 0,
             },
             12 => EventData::ServerWrite { row: a },
-            13 => EventData::EpochSeal { epoch: a, size: b },
-            14 => EventData::EpochPublish {
-                epoch: a,
-                committed: b,
-                aborted: c,
-            },
             _ => return None,
         })
     }
@@ -391,8 +359,6 @@ impl EventData {
             EventData::Retry { .. } => "retry",
             EventData::ServerRead { .. } => "server_read",
             EventData::ServerWrite { .. } => "server_write",
-            EventData::EpochSeal { .. } => "epoch_seal",
-            EventData::EpochPublish { .. } => "epoch_publish",
         }
     }
 }
@@ -471,14 +437,6 @@ impl Event {
                 )
             }
             EventData::ServerWrite { row } => format!("server write row {row}"),
-            EventData::EpochSeal { epoch, size } => {
-                format!("epoch {epoch} sealed ({size} requests)")
-            }
-            EventData::EpochPublish {
-                epoch,
-                committed,
-                aborted,
-            } => format!("epoch {epoch} published ({committed} committed, {aborted} aborted)"),
         };
         if self.txn == 0 {
             format!("[{:>8}] {:>10}us            {body}", self.seqno, self.ts_us)
@@ -531,7 +489,7 @@ impl Shard {
     /// sampled once per [`TS_REFRESH_INTERVAL`] events on this shard and
     /// cached — `ts_us` is coarse by design (see [`Event::ts_us`]).
     fn write(&self, idx: u64, epoch: &Instant, seqno: u64, txn: u64, data: EventData) {
-        let (kind, a, b, c) = data.encode();
+        let (kind, a, b) = data.encode();
         let ts_us = if idx.is_multiple_of(TS_REFRESH_INTERVAL) {
             let now = epoch.elapsed().as_micros() as u64;
             self.coarse_ts_us.store(now, Ordering::Relaxed);
@@ -552,7 +510,6 @@ impl Shard {
         slot[4].store(kind, Ordering::Relaxed);
         slot[5].store(a, Ordering::Relaxed);
         slot[6].store(b, Ordering::Relaxed);
-        slot[7].store(c, Ordering::Relaxed);
         // Even stamp: done, still encoding the index.
         slot[0].store(idx * 2 + 2, Ordering::Release);
     }
@@ -575,11 +532,10 @@ impl Shard {
             let kind = self.slots[base + 4].load(Ordering::Relaxed);
             let a = self.slots[base + 5].load(Ordering::Relaxed);
             let b = self.slots[base + 6].load(Ordering::Relaxed);
-            let c = self.slots[base + 7].load(Ordering::Relaxed);
             if stamp.load(Ordering::Acquire) != want {
                 continue; // overwritten mid-read: drop the torn payload
             }
-            if let Some(data) = EventData::decode(kind, a, b, c) {
+            if let Some(data) = EventData::decode(kind, a, b) {
                 out.push(Event {
                     seqno,
                     ts_us,
@@ -789,8 +745,7 @@ impl Journal {
         let mut s = String::from("{\"traceEvents\":[");
         let mut first = true;
         for e in self.snapshot() {
-            let (kind, a, b, c) = e.data.encode();
-            let _ = c;
+            let (kind, a, b) = e.data.encode();
             // Async span delimiters for transaction lifetimes.
             let span = match e.data {
                 EventData::Begin => Some("b"),
@@ -971,15 +926,6 @@ mod tests {
                 },
             ),
             (0, EventData::ServerWrite { row: 6 }),
-            (0, EventData::EpochSeal { epoch: 3, size: 8 }),
-            (
-                0,
-                EventData::EpochPublish {
-                    epoch: 3,
-                    committed: 6,
-                    aborted: 2,
-                },
-            ),
         ];
         for &(txn, data) in &samples {
             j.record(txn, data);

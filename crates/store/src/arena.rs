@@ -2,16 +2,14 @@
 //! per-key chain heads, chain-length-adaptive packed nodes, and epoch-based
 //! reclamation.
 //!
-//! This is the data plane behind [`crate::MvccStore`]'s `Arena` layout
-//! (`DbOptions::store_layout`, the default). Where the locked layout guards
-//! each shard's `BTreeMap` of chains with a readers-writer lock, here:
+//! This is [`MvccStore`], the data plane behind every `Db`:
 //!
 //! * **Readers take no lock at all.** A snapshot read hashes the key into
 //!   [`ChainHeadTable`]'s bucket array, walks the bucket's entry list and
 //!   then the key's version chain through plain `Acquire` loads, and decides
-//!   visibility per version exactly as the locked layout does (stamp →
-//!   resolver). The only synchronization on the read path is an epoch *pin*
-//!   (two atomics on the thread's own cache line).
+//!   visibility per version (stamp → resolver, see [`crate::mvcc`]). The
+//!   only synchronization on the read path is an epoch *pin* (two atomics
+//!   on the thread's own cache line).
 //! * **Writers publish with one CAS.** On a cold chain a version is
 //!   allocated from the [`VersionArena`], fully initialized, linked to the
 //!   current head, and installed by a single compare-and-swap on the key's
@@ -74,11 +72,14 @@ use spin::Mutex as SpinMutex;
 use wsi_core::{hash_row_key, Timestamp, TxnStatus};
 
 use crate::mvcc::{
-    GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps, FIB_HASH,
-    PRUNE_CHAIN_LEN,
+    GcStats, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps, PRUNE_CHAIN_LEN,
 };
 use crate::obs::ArenaObs;
 use crate::registry::EpochParticipants;
+
+/// Fibonacci multiplicative-hash constant (2^64 / φ), spreading row hashes
+/// over the chain-head buckets.
+const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Versions per arena chunk (power of two).
 const CHUNK_SLOTS: usize = 1024;
@@ -710,9 +711,11 @@ impl ChainHeadTable {
 /// handle's [`PACKED_TAG`] routes the eventual free to the right arena.
 type LimboEntry = (u64, u64); // (retire epoch, packed VersionIdx)
 
-/// The lock-free arena layout of the MVCC store. See the module docs.
+/// The concurrent multi-version key space: lock-free reads, CAS-published
+/// writes, packed nodes for hot chains, and epoch-based reclamation. See
+/// the module docs.
 #[derive(Debug)]
-pub(crate) struct ArenaStore {
+pub struct MvccStore {
     table: ChainHeadTable,
     arena: VersionArena,
     packed: PackedArena,
@@ -731,22 +734,24 @@ pub(crate) struct ArenaStore {
     migrations: AtomicU64,
     /// Packed nodes retired (lifetime; each also counts once in `retired`).
     packed_retired: AtomicU64,
-    /// Whether hot chains migrate into packed nodes. Off = the flat PR 5
-    /// layout, kept selectable for equivalence tests and benchmarks.
+    /// Whether hot chains migrate into packed nodes. Off only in the flat
+    /// reference layout ([`MvccStore::flat`]).
     adaptive: bool,
-    /// Chain length arming insert-time pruning.
-    prune_len: usize,
     obs: Option<Arc<ArenaObs>>,
 }
 
-impl ArenaStore {
-    /// The default configuration: adaptive layout, standard prune bound.
-    pub(crate) fn new() -> Self {
-        Self::with_config(true, PRUNE_CHAIN_LEN)
+impl MvccStore {
+    /// Creates an empty store whose hot chains migrate into packed
+    /// multi-version nodes.
+    pub fn new() -> Self {
+        Self::with_adaptive(true)
     }
 
-    pub(crate) fn with_config(adaptive: bool, prune_len: usize) -> Self {
-        ArenaStore {
+    /// Creates an empty store; `adaptive = false` never migrates chains,
+    /// giving the flat one-version-per-node reference layout the
+    /// equivalence tests compare the packed-node path against.
+    pub fn with_adaptive(adaptive: bool) -> Self {
+        MvccStore {
             table: ChainHeadTable::new(),
             arena: VersionArena::new(),
             packed: PackedArena::new(),
@@ -758,7 +763,6 @@ impl ArenaStore {
             migrations: AtomicU64::new(0),
             packed_retired: AtomicU64::new(0),
             adaptive,
-            prune_len: prune_len.max(2),
             obs: None,
         }
     }
@@ -770,7 +774,7 @@ impl ArenaStore {
     /// Inserts an (invisible) version: allocate or claim, link, publish.
     /// This one-at-a-time API may be called repeatedly with the same key
     /// and writer, so it pays the same-writer duplicate probe.
-    pub(crate) fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
+    pub fn insert_version(&self, key: Bytes, writer_start: Timestamp, value: Option<Bytes>) {
         let _pin = self.epochs.pin();
         self.insert_one(key, writer_start, value, true);
     }
@@ -780,7 +784,7 @@ impl ArenaStore {
     /// materialize a per-transaction write *map*, so they are), which lets
     /// every insert skip the same-writer duplicate chain walk — the batch
     /// path is the data-plane hot path.
-    pub(crate) fn insert_versions<I>(&self, writer_start: Timestamp, writes: I)
+    pub fn insert_versions<I>(&self, writer_start: Timestamp, writes: I)
     where
         I: IntoIterator<Item = (Bytes, Option<Bytes>)>,
     {
@@ -845,7 +849,7 @@ impl ArenaStore {
         if let Some(obs) = &self.obs {
             obs.chain_len.record(len as u64);
         }
-        if len as usize >= self.prune_len {
+        if len as usize >= PRUNE_CHAIN_LEN {
             let pruned = self.prune_entry(entry);
             if pruned > 0 {
                 if let Some(obs) = &self.obs {
@@ -978,8 +982,7 @@ impl ArenaStore {
     }
 
     /// A transaction that writes the same key twice through this API
-    /// replaces its earlier version (the locked layout's in-place
-    /// overwrite). The writer itself is single-threaded, so any duplicate
+    /// replaces its earlier version. The writer itself is single-threaded, so any duplicate
     /// is already published and stable; the just-published location is
     /// excluded so the new version is never mistaken for the duplicate.
     fn resolve_duplicate(&self, entry: &KeyEntry, writer_start: Timestamp, published: Loc) {
@@ -1040,8 +1043,7 @@ impl ArenaStore {
     /// bound; stamped versions strictly below the bound are invisible to
     /// every current and future snapshot. Singles are unlinked; packed
     /// entries are dead-marked, and nodes whose live set empties are
-    /// sealed, unlinked, and retired whole. Identical keep rule to the
-    /// locked layout's `prune_stamped_below`. Returns versions pruned.
+    /// sealed, unlinked, and retired whole. Returns versions pruned.
     fn prune_entry(&self, entry: &KeyEntry) -> u64 {
         let watermark = self.watermark.load(Ordering::Relaxed);
         let _guard = entry.lock.lock();
@@ -1419,8 +1421,8 @@ impl ArenaStore {
 
     /// Stamps the commit timestamp onto a writer's versions (eager §2.2
     /// write-back). A missing key or version — removed by abort cleanup —
-    /// is a silent no-op, exactly like the locked layout.
-    pub(crate) fn stamp_commit<'a, I>(&self, writer_start: Timestamp, commit_ts: Timestamp, keys: I)
+    /// is a silent no-op.
+    pub fn stamp_commit<'a, I>(&self, writer_start: Timestamp, commit_ts: Timestamp, keys: I)
     where
         I: IntoIterator<Item = &'a Bytes>,
     {
@@ -1455,7 +1457,7 @@ impl ArenaStore {
 
     /// Removes a writer's versions (abort cleanup): singles are unlinked,
     /// packed entries dead-marked (retiring any node that empties).
-    pub(crate) fn remove_versions<'a, I>(&self, writer_start: Timestamp, keys: I)
+    pub fn remove_versions<'a, I>(&self, writer_start: Timestamp, keys: I)
     where
         I: IntoIterator<Item = &'a Bytes>,
     {
@@ -1506,7 +1508,7 @@ impl ArenaStore {
     /// Reads `key` at snapshot `reader_start` with zero locks: pin, hash,
     /// walk, resolve per version (stamp first, resolver fallback), clone
     /// the winning value.
-    pub(crate) fn read<R: VersionResolver + ?Sized>(
+    pub fn read<R: VersionResolver + ?Sized>(
         &self,
         key: &[u8],
         reader_start: Timestamp,
@@ -1614,7 +1616,7 @@ impl ArenaStore {
     /// Range scan over the ordered key index. Holds the index's read lock
     /// for the enumeration (blocking only key *creation*, not publication,
     /// reads, or restructuring); chains are walked lock-free as usual.
-    pub(crate) fn scan<R: VersionResolver + ?Sized>(
+    pub fn scan<R: VersionResolver + ?Sized>(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
@@ -1642,7 +1644,7 @@ impl ArenaStore {
     }
 
     /// Number of keys with at least one published version.
-    pub(crate) fn key_count(&self) -> usize {
+    pub fn key_count(&self) -> usize {
         let n = self.table.entries.len();
         (0..n)
             .filter(|&i| self.table.entries.get(i).head.load(Ordering::Acquire) != NULL_VIDX)
@@ -1650,7 +1652,7 @@ impl ArenaStore {
     }
 
     /// Total live published versions.
-    pub(crate) fn version_count(&self) -> usize {
+    pub fn version_count(&self) -> usize {
         let _pin = self.epochs.pin();
         let n = self.table.entries.len();
         (0..n)
@@ -1675,7 +1677,7 @@ impl ArenaStore {
     }
 
     /// `(keys, versions)` in one pass, refreshing the arena gauges.
-    pub(crate) fn footprint(&self) -> (usize, usize) {
+    pub fn footprint(&self) -> (usize, usize) {
         let _pin = self.epochs.pin();
         let n = self.table.entries.len();
         let mut keys = 0;
@@ -1696,14 +1698,14 @@ impl ArenaStore {
     }
 
     /// Raises the pruning watermark (monotone).
-    pub(crate) fn note_watermark(&self, watermark: Timestamp) {
+    pub fn note_watermark(&self, watermark: Timestamp) {
         self.watermark.fetch_max(watermark.raw(), Ordering::Relaxed);
     }
 
     /// Dumps `(writer_start, committed_at)` stamps per key, in key order,
-    /// versions ascending by writer start — the locked layout's exact
-    /// format, so replay-equivalence tests compare across layouts.
-    pub(crate) fn dump_stamps(&self) -> VersionStamps {
+    /// versions ascending by writer start, so replay-equivalence tests can
+    /// compare a recovered store against the live one.
+    pub fn dump_stamps(&self) -> VersionStamps {
         let _pin = self.epochs.pin();
         let index = self.table.index.read();
         let mut out: VersionStamps = Vec::new();
@@ -1726,13 +1728,9 @@ impl ArenaStore {
     /// version's fate, stamp surviving committed versions, unlink aborted
     /// and superseded singles, dead-mark the packed equivalents (retiring
     /// nodes that empty), and retire the unlinked nodes to the limbo list.
-    /// Same keep rule — and therefore identical [`GcStats`] on a quiescent
-    /// store — as the locked layout.
-    pub(crate) fn gc<R: VersionResolver + ?Sized>(
-        &self,
-        watermark: Timestamp,
-        resolver: &R,
-    ) -> GcStats {
+    /// The flat and packed layouts apply the same keep rule and therefore
+    /// report identical [`GcStats`] on a quiescent store.
+    pub fn gc<R: VersionResolver + ?Sized>(&self, watermark: Timestamp, resolver: &R) -> GcStats {
         let mut stats = GcStats::default();
         self.note_watermark(watermark);
         let n = self.table.entries.len();
@@ -1888,7 +1886,7 @@ impl ArenaStore {
     /// limbo entries whose grace period (`retire epoch + 2 ≤ global`) has
     /// expired, routing each handle to its arena by tag. Called from GC and
     /// from the `Db` watermark tick; cheap when there is nothing to do.
-    pub(crate) fn maintain(&self) {
+    pub fn maintain(&self) {
         let mut advanced = false;
         for _ in 0..2 {
             if !self.epochs.try_advance() {
@@ -1950,7 +1948,7 @@ impl ArenaStore {
     }
 
     /// Reclamation accounting snapshot.
-    pub(crate) fn reclamation(&self) -> ReclamationStats {
+    pub fn reclamation(&self) -> ReclamationStats {
         let retired = self.retired.load(Ordering::Relaxed);
         let freed = self.freed.load(Ordering::Relaxed);
         ReclamationStats {
@@ -2058,7 +2056,7 @@ enum Verdict {
     Pending,
 }
 
-impl Default for ArenaStore {
+impl Default for MvccStore {
     fn default() -> Self {
         Self::new()
     }
@@ -2119,7 +2117,7 @@ mod tests {
 
     #[test]
     fn retired_versions_free_only_after_two_advances() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         store.remove_versions(Timestamp(1), [&b("k")]);
         let r = store.reclamation();
@@ -2133,7 +2131,7 @@ mod tests {
 
     #[test]
     fn a_pinned_reader_defers_reclamation() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         let pin = store.epochs.pin();
         store.remove_versions(Timestamp(1), [&b("k")]);
@@ -2149,7 +2147,7 @@ mod tests {
 
     #[test]
     fn empty_chain_counts_as_absent_key() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         store.insert_version(b("k"), Timestamp(1), Some(b("v")));
         assert_eq!(store.key_count(), 1);
         store.remove_versions(Timestamp(1), [&b("k")]);
@@ -2163,7 +2161,7 @@ mod tests {
     }
 
     /// Write+stamp `n` versions of `key` with starts `2i-1`, commits `2i`.
-    fn hammer(store: &ArenaStore, key: &str, n: u64) {
+    fn hammer(store: &MvccStore, key: &str, n: u64) {
         for i in 1..=n {
             store.insert_version(b(key), Timestamp(2 * i - 1), Some(b(&format!("v{i}"))));
             store.stamp_commit(Timestamp(2 * i - 1), Timestamp(2 * i), [&b(key)]);
@@ -2172,7 +2170,7 @@ mod tests {
 
     #[test]
     fn hot_chains_migrate_into_packed_nodes() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         hammer(&store, "hot", 12);
         let rec = store.reclamation();
         assert!(rec.migrations >= 1, "12 stamped singles trigger migration");
@@ -2195,7 +2193,7 @@ mod tests {
 
     #[test]
     fn spills_trigger_consolidation_of_the_cold_tail() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         // Enough stamped writes for several spills past the first
         // migration, so the cold tail accumulates unsorted spill nodes
         // and the consolidation pass has work to do.
@@ -2219,8 +2217,8 @@ mod tests {
 
     #[test]
     fn adaptive_layout_matches_flat_reads_and_stamps() {
-        let adaptive = ArenaStore::new();
-        let flat = ArenaStore::with_config(false, PRUNE_CHAIN_LEN);
+        let adaptive = MvccStore::new();
+        let flat = MvccStore::with_adaptive(false);
         for store in [&adaptive, &flat] {
             hammer(store, "hot", 20);
             store.insert_version(b("hot"), Timestamp(1001), Some(b("pending")));
@@ -2245,7 +2243,7 @@ mod tests {
 
     #[test]
     fn fully_dead_packed_nodes_retire_through_limbo() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         hammer(&store, "hot", 64);
         assert!(store.reclamation().migrations >= 1);
         // Raise the watermark past everything and GC: all but the newest
@@ -2269,7 +2267,7 @@ mod tests {
 
     #[test]
     fn abort_of_a_claimed_packed_entry_dead_marks_it() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         hammer(&store, "hot", 10); // migrated: head is a packed node
         assert!(store.reclamation().migrations >= 1);
         store.insert_version(b("hot"), Timestamp(101), Some(b("doomed")));
@@ -2287,7 +2285,7 @@ mod tests {
 
     #[test]
     fn duplicate_writes_into_a_packed_head_keep_one_version() {
-        let store = ArenaStore::new();
+        let store = MvccStore::new();
         hammer(&store, "hot", 10);
         store.insert_version(b("hot"), Timestamp(201), Some(b("first")));
         store.insert_version(b("hot"), Timestamp(201), Some(b("second")));

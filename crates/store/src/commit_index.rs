@@ -44,7 +44,7 @@ impl CommitIndex {
     /// write critical section.
     ///
     /// With lock-free begins, a reader's snapshot timestamp no longer
-    /// serializes with the manager's critical section, so "issue `commit_ts`,
+    /// serializes with the oracle's critical section, so "issue `commit_ts`,
     /// then publish" leaves a window where a snapshot `S > commit_ts` exists
     /// but resolves the commit as pending — a non-repeatable read. Running
     /// `alloc` under the same write lock readers resolve through closes it:
@@ -59,32 +59,6 @@ impl CommitIndex {
         let commit_ts = alloc();
         table.record_commit(start_ts, commit_ts);
         commit_ts
-    }
-
-    /// Publishes a whole epoch of commits whose timestamps are allocated
-    /// *inside* one write critical section, in `starts` order.
-    ///
-    /// The batched oracle's publish step: readers resolve through this
-    /// index's lock, so allocating every timestamp and installing every
-    /// entry under a single write hold makes the epoch visible atomically —
-    /// a snapshot whose start exceeds any of the returned timestamps was
-    /// issued after this critical section began and therefore observes the
-    /// entire epoch (the same argument as
-    /// [`CommitIndex::record_commit_with`], amortized over the batch).
-    pub fn record_commits_with(
-        &self,
-        starts: &[Timestamp],
-        mut alloc: impl FnMut() -> Timestamp,
-    ) -> Vec<Timestamp> {
-        let mut table = self.inner.write();
-        starts
-            .iter()
-            .map(|&start_ts| {
-                let commit_ts = alloc();
-                table.record_commit(start_ts, commit_ts);
-                commit_ts
-            })
-            .collect()
     }
 
     /// Publishes an abort.

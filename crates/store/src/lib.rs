@@ -63,14 +63,14 @@ pub mod ssi_db;
 mod txn;
 
 pub use commit_index::CommitIndex;
-pub use db::{Db, DbOptions, DbStats, Durability, OracleMode, TxnReport};
+pub use db::{Db, DbOptions, DbStats, Durability, TxnReport};
 pub use error::{Error, Result};
 // The flight-recorder and rollup types, re-exported so embedders (and the
 // deterministic simulator, which depends on this crate but not on wsi-obs
 // directly) can consume `Db::journal` / `SsiDb::journal` output without a
 // separate dependency edge.
 pub use mvcc::{
-    GcStats, MvccStore, ReclamationStats, SnapshotRead, StoreLayout, VersionResolver, VersionStamps,
+    GcStats, MvccStore, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps,
 };
 pub use record::{decode as decode_record, encode as encode_record, StoreRecord};
 pub use snapshot::Snapshot;

@@ -104,7 +104,7 @@ impl SsiDb {
         oracle.attach_journal(journal.clone());
         SsiDb {
             inner: Arc::new(SsiInner {
-                mvcc: MvccStore::arena(),
+                mvcc: MvccStore::new(),
                 index: CommitIndex::new(),
                 oracle: Mutex::new(oracle),
                 ledger: ledger.map(Mutex::new),
@@ -223,8 +223,8 @@ impl SsiDb {
         self.inner.mvcc.maintain();
     }
 
-    /// Epoch-reclamation accounting of the arena store.
-    pub fn reclamation(&self) -> Option<ReclamationStats> {
+    /// Epoch-reclamation accounting of the version store.
+    pub fn reclamation(&self) -> ReclamationStats {
         self.inner.mvcc.reclamation()
     }
 
@@ -680,7 +680,7 @@ mod tests {
         let stats = db.gc();
         assert!(stats.versions_dropped > 0, "{stats:?}");
         db.maintain();
-        let rec = db.reclamation().expect("arena layout");
+        let rec = db.reclamation();
         assert_eq!(rec.retired, rec.freed + rec.limbo);
         let mut r = db.begin();
         assert_eq!(r.get(b"hot").unwrap().as_ref(), b"4");

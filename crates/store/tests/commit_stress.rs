@@ -1,12 +1,10 @@
-//! Racy stress tests for the epoch-batched commit path.
+//! Racy stress tests for the commit path.
 //!
-//! The batched oracle's claims are concurrency claims: commit requests from
-//! all threads funnel through a lock-free intake ring, whole epochs decide
-//! at once, and the epoch publishes atomically — commit-index entries under
-//! one write hold, WAL records as one group — before any waiter wakes.
-//! These tests run the same 8-thread hot-key herds as `sharded_stress.rs`
-//! over `OracleMode::Batched` and verify the same observable invariants
-//! from the commit log the threads record:
+//! `Db` decides every commit under one oracle mutex and issues the commit
+//! timestamp while holding it, so per-row timestamps stay monotonic while
+//! versions, reads, and the WAL run outside it. These tests run 8-thread
+//! herds over a small hot key set with default options and verify the
+//! observable invariants directly from the commit log the threads record:
 //!
 //! * **No lost updates** — every counter's final value equals the number of
 //!   successful increments against it.
@@ -15,10 +13,6 @@
 //!   commit timestamps are globally unique.
 //! * **Obs reconciliation** — afterwards, `begins == commits + read-only
 //!   commits + aborts` and no transaction is left registered.
-//!
-//! The sync-WAL test additionally recovers the ledger and asserts state
-//! equality: an epoch that reached its quorum replays whole, one that never
-//! sealed (or was overturned) leaves nothing behind.
 
 use std::sync::Mutex;
 use std::thread;
@@ -62,8 +56,7 @@ fn increment_logged(db: &Db, k: usize, log: &IncrementLog) {
 }
 
 /// The herd: 8 threads, each walking the key ring from a different offset,
-/// so every key is contended by every thread and epochs mix disjoint and
-/// conflicting members.
+/// so every key is contended by every thread.
 fn run_herd(db: &Db, increments: u64) -> IncrementLog {
     let log: IncrementLog = (0..KEYS).map(|_| Mutex::new(Vec::new())).collect();
     thread::scope(|s| {
@@ -98,8 +91,7 @@ fn assert_invariants(db: &Db, log: &IncrementLog, increments: u64) {
         );
         // Monotonic per-row commit timestamps: in commit-ts order the
         // values must be the exact sequence 1..=n — any inversion (a later
-        // commit observing an older value) breaks the chain. Within one
-        // epoch this is guaranteed by slot-order timestamp issue.
+        // commit observing an older value) breaks the chain.
         for (idx, &(value, ts)) in entries.iter().enumerate() {
             assert_eq!(
                 value,
@@ -130,61 +122,42 @@ fn assert_invariants(db: &Db, log: &IncrementLog, increments: u64) {
 }
 
 #[test]
-fn wsi_batched_herd_keeps_invariants() {
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).batched_oracle(16));
+fn wsi_herd_keeps_invariants() {
+    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
     let log = run_herd(&db, 120);
     assert_invariants(&db, &log, 120);
 }
 
 #[test]
-fn si_batched_herd_keeps_invariants() {
-    let db = Db::open(DbOptions::new(IsolationLevel::Snapshot).batched_oracle(16));
+fn si_herd_keeps_invariants() {
+    let db = Db::open(DbOptions::new(IsolationLevel::Snapshot));
     let log = run_herd(&db, 120);
     assert_invariants(&db, &log, 120);
 }
 
 #[test]
-fn wsi_batched_single_partition_herd_keeps_invariants() {
-    // Degenerate partition count: the planner probes one table; the
-    // invariants must be identical.
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).batched_oracle(1));
+fn wsi_bounded_herd_keeps_invariants() {
+    // Algorithm 3 under the herd: T_max may force extra aborts, but never a
+    // lost update or a timestamp inversion.
+    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).bounded_last_commit(32));
     let log = run_herd(&db, 60);
     assert_invariants(&db, &log, 60);
 }
 
 #[test]
-fn wsi_bounded_batched_herd_keeps_invariants() {
-    // Algorithm 3 under the herd: per-partition T_max may force extra
-    // aborts, but never a lost update or a timestamp inversion.
+fn wsi_sync_wal_herd_keeps_invariants() {
+    // Sync durability layers the pipeline's publish-after-durable protocol
+    // on top of the oracle mutex; the lock hierarchy must stay acyclic under
+    // load (a deadlock here hangs the test).
     let db = Db::open(
-        DbOptions::new(IsolationLevel::WriteSnapshot)
-            .bounded_last_commit(32)
-            .batched_oracle(4),
-    );
-    let log = run_herd(&db, 60);
-    assert_invariants(&db, &log, 60);
-}
-
-#[test]
-fn wsi_sync_wal_batched_herd_keeps_invariants() {
-    // Sync durability: the epoch publisher enqueues whole epochs with
-    // timestamps issued inside the pipeline's lock, and owners wait out the
-    // group flush. The plan-slot → pipeline-lock hierarchy must stay
-    // acyclic under load (a deadlock here hangs the test).
-    let db = Db::open(
-        DbOptions::new(IsolationLevel::WriteSnapshot)
-            .batched_oracle(16)
-            .durable(LedgerConfig::default_replicated()),
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated()),
     );
     let log = run_herd(&db, 30);
     assert_invariants(&db, &log, 30);
     db.flush_wal().unwrap();
-    // And the WAL replays to the same state: every acknowledged epoch
-    // member recovers, epoch grouping notwithstanding.
+    // And the WAL replays to the same state.
     let recovered = Db::recover(
-        DbOptions::new(IsolationLevel::WriteSnapshot)
-            .batched_oracle(16)
-            .durable(LedgerConfig::default_replicated()),
+        DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated()),
         db.wal_snapshot().unwrap(),
     )
     .unwrap();
@@ -195,38 +168,4 @@ fn wsi_sync_wal_batched_herd_keeps_invariants() {
             "key {k} diverged after recovery"
         );
     }
-}
-
-#[test]
-fn epoch_metrics_are_registered_and_plausible() {
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).batched_oracle(16));
-    let _ = run_herd(&db, 40);
-    let prom = db.render_prometheus().expect("obs on by default");
-    for series in [
-        "oracle_epochs_total",
-        "oracle_epoch_batch_size",
-        "oracle_epoch_plan_us",
-        "oracle_epoch_planners",
-    ] {
-        assert!(prom.contains(series), "missing series {series}");
-    }
-    let snap = db.obs_snapshot().unwrap();
-    let epochs = snap
-        .counters
-        .get("oracle_epochs_total")
-        .copied()
-        .expect("epoch counter present");
-    let sealed = snap
-        .histograms
-        .get("oracle_epoch_batch_size")
-        .expect("batch-size histogram present");
-    // Every write decision went through exactly one epoch, and the batch
-    // sizes the histogram saw must account for every one of them.
-    let stats = db.stats().oracle;
-    assert!(epochs >= 1, "at least one epoch sealed");
-    assert_eq!(sealed.count, epochs, "one batch-size sample per epoch");
-    assert!(
-        sealed.sum >= stats.commits + stats.total_aborts() - stats.client_aborts,
-        "sealed requests cover every decided commit/abort: {stats:?}"
-    );
 }

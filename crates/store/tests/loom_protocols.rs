@@ -23,17 +23,13 @@
 //! 3. **The `stubs/spin` test-and-set lock** — mutual exclusion and lost-
 //!    update freedom for the exact acquire/release protocol the spin stub
 //!    implements (CAS-acquire, store-release, yield after a spin budget).
-//! 4. **`DecisionGuard` ascending-order shard acquisition** — the sharded
-//!    oracle's multi-shard lock protocol (`ConcurrentOracle::lock_for`):
-//!    every committer acquires its shard set in ascending shard order, which
-//!    must be deadlock-free and exclusive over the whole set.
-//! 5. **Packed-node occupancy claims vs. concurrent readers** — the
+//! 4. **Packed-node occupancy claims vs. concurrent readers** — the
 //!    adaptive arena's in-node publish path (`arena::try_claim`): claim
 //!    indices are unique, an entry is never readable before it is
 //!    initialized (the ready bit is set with a Release `fetch_or` only
 //!    after the entry is built), the ready mask is monotone, and sealing
 //!    stops further claims while every pre-seal claim still publishes.
-//! 6. **Chain migration vs. a reader standing mid-chain** — the adaptive
+//! 5. **Chain migration vs. a reader standing mid-chain** — the adaptive
 //!    arena's attach-then-unlink restructure (`arena::migrate_entry`):
 //!    every committed version stays reachable from the head throughout the
 //!    splice, and a reader parked on an unlinked single still reaches every
@@ -392,75 +388,7 @@ fn spin_tas_lock_is_mutually_exclusive() {
     });
 }
 
-/// Shard count for protocol model 4 (small enough that overlapping sets are
-/// the common case under the fuzzer).
-const SHARDS: usize = 4;
-
-/// Protocol 4: `DecisionGuard`'s multi-shard acquisition. Each committer
-/// needs a *set* of shards (its request's row shards); all acquirers take
-/// their sets in ascending shard order — `lock_for` sorts the inline slot
-/// permutation, `lock_spilled` sorts the heap set — which rules out the
-/// circular wait a deadlock needs. The model asserts completion (deadlock
-/// freedom via a bounded spin) and set-wide exclusivity: while a committer
-/// holds its set, no other committer holds any member of it.
-#[test]
-fn decision_guard_ascending_order_is_deadlock_free_and_exclusive() {
-    // Overlapping shard sets, pre-sorted ascending like the oracle's
-    // acquisition paths; every pair intersects, so unordered acquisition
-    // would deadlock under some schedule.
-    const SETS: [&[usize]; 3] = [&[0, 1, 2], &[1, 3], &[0, 2, 3]];
-    const ROUNDS: usize = 8;
-    loom::model(|| {
-        let locks: Arc<Vec<TasLock>> = Arc::new((0..SHARDS).map(|_| TasLock::new()).collect());
-        // Per-shard holder tag (0 = free, else committer id + 1).
-        let holders: Arc<Vec<AtomicU64>> =
-            Arc::new((0..SHARDS).map(|_| AtomicU64::new(0)).collect());
-
-        let handles: Vec<_> = (0..SETS.len())
-            .map(|who| {
-                let locks = Arc::clone(&locks);
-                let holders = Arc::clone(&holders);
-                thread::spawn(move || {
-                    let tag = who as u64 + 1;
-                    for _ in 0..ROUNDS {
-                        // Acquire in ascending shard order (the invariant
-                        // under test: all acquirers sort the same way).
-                        for &sid in SETS[who] {
-                            locks[sid].lock();
-                            let prev = holders[sid].swap(tag, Ordering::SeqCst);
-                            assert_eq!(prev, 0, "shard {sid} already held");
-                        }
-                        // The decision runs with the whole set held: every
-                        // member must still be tagged as ours.
-                        thread::yield_now();
-                        for &sid in SETS[who] {
-                            assert_eq!(
-                                holders[sid].load(Ordering::SeqCst),
-                                tag,
-                                "lost shard {sid} mid-decision"
-                            );
-                        }
-                        for &sid in SETS[who] {
-                            holders[sid].store(0, Ordering::SeqCst);
-                            locks[sid].unlock();
-                        }
-                    }
-                })
-            })
-            .collect();
-        // join() doubles as the deadlock check: an ordering regression
-        // would hang here, and the harness-level timeout (tier1 runs this
-        // with bounded iterations) surfaces it.
-        for h in handles {
-            h.join().unwrap();
-        }
-        for h in holders.iter() {
-            assert_eq!(h.load(Ordering::SeqCst), 0, "all shards released");
-        }
-    });
-}
-
-/// Packed-node capacity for protocol model 5 (scaled down from
+/// Packed-node capacity for protocol model 4 (scaled down from
 /// `arena::PACK_CAP` so the schedule space stays tractable).
 const PCAP: u64 = 4;
 
@@ -471,7 +399,7 @@ const P_SEALED: u64 = 1 << 31;
 /// Claim-count mask (mirrors `arena::CLAIM_MASK`).
 const P_CLAIMS: u64 = P_SEALED - 1;
 
-/// Protocol 5: the packed node's single-word occupancy protocol. The word
+/// Protocol 4: the packed node's single-word occupancy protocol. The word
 /// packs `ready_bitmask << 32 | (SEALED | claim_count)`; writers claim an
 /// index by CAS-bumping the count, initialize their entry, then publish it
 /// with a Release `fetch_or` of the ready bit. Readers take the Acquire-
@@ -614,14 +542,14 @@ fn packed_node_claims_are_unique_initialized_and_seal_bounded() {
     });
 }
 
-/// Singles in protocol model 6's chain (head = index 3, tail = index 0).
+/// Singles in protocol model 5's chain (head = index 3, tail = index 0).
 const M_SINGLES: usize = 4;
 
-/// Packed-pointer tag for model 6 (mirrors `arena::PACKED_TAG`: bit 31 of
+/// Packed-pointer tag for model 5 (mirrors `arena::PACKED_TAG`: bit 31 of
 /// the handle distinguishes packed nodes from single slots).
 const M_PTAG: u64 = 1 << 31;
 
-/// Protocol 6: attach-then-unlink chain migration. The chain starts as four
+/// Protocol 5: attach-then-unlink chain migration. The chain starts as four
 /// stamped singles `3 → 2 → 1 → 0 → NULL` (commit stamp of single `i` is
 /// `10·(i+1)`). The migrator packs the suffix `[1, 0]` into a packed node
 /// whose `next` copies the suffix tail's `next` (attach), then splices the

@@ -4,7 +4,7 @@
 //! agree: every transaction that begins must end exactly once (commit,
 //! read-only commit, or abort), every commit the oracle counts must have
 //! exactly one durable commit record in the WAL, and every version the
-//! arena store retires must be accounted as freed or in limbo. This test
+//! version store retires must be accounted as freed or in limbo. This test
 //! drives a racy multi-threaded workload and checks the identities, plus
 //! that the registry exposition sees the same numbers as `Db::stats()`.
 
@@ -64,7 +64,6 @@ fn drive_workload(db: &Arc<Db>) {
 
 #[test]
 fn lifecycle_counters_reconcile_across_layers() {
-    // Default options: the lock-free arena store layout.
     let db = Arc::new(Db::open(
         DbOptions::new(IsolationLevel::WriteSnapshot).durable(LedgerConfig::default_replicated()),
     ));
@@ -139,7 +138,7 @@ fn lifecycle_counters_reconcile_across_layers() {
         "one end-to-end latency sample per committed write transaction"
     );
 
-    // Identity 4: the arena store's footprint gauges (refreshed by the
+    // Identity 4: the version store's footprint gauges (refreshed by the
     // `db.stats()` call above) equal the aggregate key/version totals that
     // `DbStats` reports — the exposition loses nothing.
     assert_eq!(
@@ -156,7 +155,7 @@ fn lifecycle_counters_reconcile_across_layers() {
     // Identity 5: epoch reclamation balances. Every retired version is
     // either freed or still in limbo — across `Db::reclamation()`, the
     // exported counters, and the limbo gauge.
-    let rec = db.reclamation().expect("default layout is the arena");
+    let rec = db.reclamation();
     assert_eq!(
         rec.retired,
         rec.freed + rec.limbo,
@@ -205,7 +204,7 @@ fn migration_metrics_reconcile() {
     }
     let _ = db.gc();
 
-    let rec = db.reclamation().expect("default layout is the arena");
+    let rec = db.reclamation();
     assert!(rec.migrations > 0, "hot chains migrated");
     assert!(rec.packed_retired > 0, "GC retired emptied packed nodes");
     assert_eq!(
@@ -392,43 +391,5 @@ fn journal_events_reconcile_with_counters_and_wal() {
     assert!(
         t.aborts > t.begins / 20,
         "ssi: crossed rw pairs must abort dangerous structures"
-    );
-}
-
-#[test]
-fn locked_layout_shard_gauges_reconcile() {
-    // The locked-shard layout keeps its per-shard footprint decomposition:
-    // the 16 shard gauges must sum to exactly the aggregate totals.
-    let shards = 16usize;
-    let db = Arc::new(Db::open(
-        DbOptions::new(IsolationLevel::WriteSnapshot).store_shards(shards),
-    ));
-    drive_workload(&db);
-
-    let stats = db.stats();
-    let snap = db.obs_snapshot().expect("obs enabled by default");
-    assert!(
-        db.reclamation().is_none(),
-        "locked layout has no limbo list"
-    );
-    let mut gauge_keys = 0u64;
-    let mut gauge_versions = 0u64;
-    for i in 0..shards {
-        gauge_keys += snap
-            .gauges
-            .get(&format!("store_shard_{i}_keys"))
-            .unwrap_or_else(|| panic!("missing store_shard_{i}_keys gauge"));
-        gauge_versions += snap
-            .gauges
-            .get(&format!("store_shard_{i}_versions"))
-            .unwrap_or_else(|| panic!("missing store_shard_{i}_versions gauge"));
-    }
-    assert_eq!(
-        gauge_keys, stats.keys as u64,
-        "shard key gauges sum to stats"
-    );
-    assert_eq!(
-        gauge_versions, stats.versions as u64,
-        "shard version gauges sum to stats"
     );
 }

@@ -1,48 +1,33 @@
-//! Observational equivalence across every version-store layout, plus the
-//! eager-stamping replay property.
+//! Observational equivalence of the packed-node version store with its
+//! flat reference layout, plus the eager-stamping replay property.
 //!
-//! All restructured stores are pure performance work: given the same
-//! sequence of transactions, a database on the partitioned store
-//! (`store_shards(16)`), on the flat lock-free arena
-//! (`arena_adaptive(false)`), or on the adaptive arena with packed
-//! multi-version nodes (the default `StoreLayout::Arena`) must be
-//! indistinguishable — every read, every commit outcome, every scan,
-//! before and after GC — from one on the single-lock layout
-//! (`store_shards(1)`, exactly the pre-sharding store). These properties
-//! drive all four databases through identical randomized interleavings
-//! (same shape as `oracle_equivalence.rs` in `wsi-core`) and compare
-//! everything observable.
+//! Packed multi-version nodes are pure performance work: given the same
+//! sequence of transactions, a database on the adaptive store (the
+//! default) must be indistinguishable — every read, every commit outcome,
+//! every scan, before and after GC — from one on the flat
+//! one-version-per-node layout (`arena_adaptive(false)`). These properties
+//! drive both databases through identical randomized interleavings and
+//! compare everything observable.
 //!
 //! The second family covers the eager `committed_at` stamps themselves:
 //! a post-crash WAL replay must re-derive exactly the stamps the live
 //! database had, and aborted writers must never leave a stamp behind — on
-//! all four layouts.
+//! both layouts.
 
 use proptest::prelude::*;
 use wsi_core::IsolationLevel;
-use wsi_store::{Db, DbOptions, StoreLayout, Transaction};
+use wsi_store::{Db, DbOptions, Transaction};
 use wsi_wal::LedgerConfig;
 
 const KEYS: [&[u8]; 7] = [b"a", b"b", b"c", b"d", b"e", b"f", b"g"];
 
-/// The four store layouts every property in this file quantifies over:
-/// single-lock (the seed layout), locked 16-way sharding (PR 4), the flat
-/// lock-free chunked arena (PR 5), and the adaptive arena whose hot chains
-/// migrate into packed multi-version nodes (the default).
-fn layout_matrix(isolation: IsolationLevel) -> [(&'static str, DbOptions); 4] {
+/// The two store layouts every property in this file quantifies over: the
+/// flat reference (one version per node) first, then the default adaptive
+/// store whose hot chains migrate into packed multi-version nodes.
+fn layout_matrix(isolation: IsolationLevel) -> [(&'static str, DbOptions); 2] {
     [
-        ("locked-1", DbOptions::new(isolation).store_shards(1)),
-        ("locked-16", DbOptions::new(isolation).store_shards(16)),
-        (
-            "arena",
-            DbOptions::new(isolation)
-                .store_layout(StoreLayout::Arena)
-                .arena_adaptive(false),
-        ),
-        (
-            "arena-adaptive",
-            DbOptions::new(isolation).store_layout(StoreLayout::Arena),
-        ),
+        ("arena", DbOptions::new(isolation).arena_adaptive(false)),
+        ("arena-adaptive", DbOptions::new(isolation)),
     ]
 }
 
@@ -166,25 +151,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Reads, scans, commit outcomes, GC, and final state are identical on
-    /// the single-lock, sharded, flat-arena, and adaptive-arena layouts,
-    /// under both isolation levels.
+    /// the flat and adaptive layouts, under both isolation levels.
     #[test]
     fn all_store_layouts_are_observationally_equivalent(p in plan()) {
         for isolation in [IsolationLevel::WriteSnapshot, IsolationLevel::Snapshot] {
-            let [(_, single), rest @ ..] = layout_matrix(isolation);
-            let reference = run(&Db::open(single), &p);
+            let [(_, flat), rest @ ..] = layout_matrix(isolation);
+            let reference = run(&Db::open(flat), &p);
             for (name, options) in rest {
                 let t = run(&Db::open(options), &p);
                 prop_assert_eq!(
                     &reference, &t,
-                    "{} diverged from locked-1 under {:?}", name, isolation
+                    "{} diverged from the flat layout under {:?}", name, isolation
                 );
             }
         }
     }
 
     /// Post-crash WAL replay re-derives exactly the eager `committed_at`
-    /// stamps the live database had — on all three layouts.
+    /// stamps the live database had — on both layouts.
     #[test]
     fn replay_re_derives_identical_stamps(p in plan()) {
         for (name, base) in layout_matrix(IsolationLevel::WriteSnapshot) {
@@ -240,8 +224,8 @@ proptest! {
 }
 
 /// A hot-key history long enough to cross the migration threshold many
-/// times over: the adaptive arena (packed nodes) must agree with every
-/// other layout on final state, stamps shape, and version accounting.
+/// times over: the adaptive arena (packed nodes) must agree with the flat
+/// layout on final state, stamps shape, and version accounting.
 /// The proptest plans above are too short to migrate reliably; this pins
 /// the packed-node read/stamp/GC path into the layout matrix explicitly.
 #[test]
@@ -266,13 +250,12 @@ fn hot_key_histories_agree_after_migration() {
             .collect();
         drop(snap);
         let stats = db.stats();
-        if let Some(rec) = db.reclamation() {
-            assert_eq!(rec.retired, rec.freed + rec.limbo, "{name}: reclamation");
-            if name == "arena-adaptive" {
-                assert!(rec.migrations > 0, "the hot chain migrated");
-            } else {
-                assert_eq!(rec.migrations, 0, "{name}: flat arena never migrates");
-            }
+        let rec = db.reclamation();
+        assert_eq!(rec.retired, rec.freed + rec.limbo, "{name}: reclamation");
+        if name == "arena-adaptive" {
+            assert!(rec.migrations > 0, "the hot chain migrated");
+        } else {
+            assert_eq!(rec.migrations, 0, "{name}: flat arena never migrates");
         }
         traces.push((name, finale, stats.keys, stats.versions));
     }

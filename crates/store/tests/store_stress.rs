@@ -1,16 +1,13 @@
-//! 8-thread invariant stress for the restructured version stores.
+//! 8-thread invariant stress for the lock-free version store.
 //!
-//! Both restructured `MvccStore` layouts make concurrency claims: on the
-//! sharded layout disjoint-key transactions proceed through different
-//! shard locks and multi-shard applies take shard locks one at a time in
-//! ascending order; on the lock-free arena layout readers walk chains with
-//! no locks at all while writers CAS-publish and the epoch reclaimer
-//! retires and frees superseded versions. Snapshot readers run
-//! concurrently with committers and the GC on every layout. The herd here
-//! exercises exactly those paths — private per-thread counters (disjoint:
-//! must never conflict-abort), shared hot counters (contended: classic
-//! lost-update bait), wide multi-shard write batches, concurrent snapshot
-//! scans, and a GC thread sweeping throughout — and then checks the
+//! `MvccStore` makes concurrency claims: readers walk chains with no locks
+//! at all while writers CAS-publish and the epoch reclaimer retires and
+//! frees superseded versions, and snapshot readers run concurrently with
+//! committers and the GC. The herd here exercises exactly those paths —
+//! private per-thread counters (disjoint: must never conflict-abort),
+//! shared hot counters (contended: classic lost-update bait), wide write
+//! batches, concurrent snapshot scans, and a GC thread sweeping throughout
+//! — on the adaptive layout and its flat reference, and then checks the
 //! observable invariants:
 //!
 //! * **No lost updates** — every counter's final value equals the number of
@@ -20,7 +17,7 @@
 //!   is monotone in snapshot order, GC notwithstanding).
 //! * **Reconciliation** — `begins == commits + read-only commits + aborts`,
 //!   no transaction left registered, and `Db::stats` key/version totals
-//!   (summed over shards) agree with a full scan.
+//!   agree with a full scan.
 //!
 //! Gated in release mode by `scripts/tier1.sh`; the debug run in the
 //! workspace suite uses the same herd at the same scale.
@@ -51,7 +48,7 @@ fn parse(v: Option<bytes::Bytes>) -> u64 {
 /// Runs the herd against `db`: each thread increments its private counter
 /// every round (these must never abort — no other writer touches the key),
 /// increments a hot shared counter with retries, and every few rounds
-/// commits a wide batch spanning every shard plus takes a snapshot scan.
+/// commits a wide batch spanning many keys plus takes a snapshot scan.
 /// Returns the per-hot-key successful increment counts.
 fn run_herd(db: &Db) -> Vec<u64> {
     let stop = AtomicBool::new(false);
@@ -101,8 +98,7 @@ fn run_herd(db: &Db) -> Vec<u64> {
                         }
 
                         if i % 8 == 0 {
-                            // Wide batch: one commit spanning many shards
-                            // (ascending-order multi-shard apply).
+                            // Wide batch: one commit spanning many keys.
                             let mut txn = db.begin();
                             for j in 0..16 {
                                 txn.put(format!("wide/{t}/{j}").as_bytes(), b"x");
@@ -152,12 +148,12 @@ fn assert_invariants(db: &Db, hot_success: &[u64]) {
             "hot key {k}: lost update"
         );
     }
-    // Stats totals (summed over shards) agree with a full scan.
+    // Stats totals agree with a full scan.
     let all = snap.scan(b"", None, usize::MAX);
     drop(snap);
     db.gc();
     let stats = db.stats();
-    assert_eq!(stats.keys, all.len(), "per-shard key totals diverge");
+    assert_eq!(stats.keys, all.len(), "key totals diverge");
     assert!(
         stats.versions >= stats.keys,
         "fewer versions than live keys"
@@ -171,24 +167,8 @@ fn assert_invariants(db: &Db, hot_success: &[u64]) {
 }
 
 #[test]
-fn sharded_store_herd_keeps_invariants() {
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).store_shards(16));
-    let hot = run_herd(&db);
-    assert_invariants(&db, &hot);
-}
-
-#[test]
-fn single_lock_store_herd_keeps_invariants() {
-    // The compatibility layout under the same herd: identical invariants.
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).store_shards(1));
-    let hot = run_herd(&db);
-    assert_invariants(&db, &hot);
-}
-
-#[test]
 fn arena_store_herd_keeps_invariants() {
-    // The adaptive lock-free arena layout (the default) under the same
-    // herd: hot-counter chains cross the migration threshold mid-run, so
+    // The adaptive layout (the default) under the herd: hot-counter chains cross the migration threshold mid-run, so
     // packed-node claim publishes, migrations, and packed retire/free all
     // race the readers and the GC thread. The herd's dedicated GC thread
     // sweeps and advances the reclamation epoch concurrently with every
@@ -201,7 +181,7 @@ fn arena_store_herd_keeps_invariants() {
     // Reclamation accounting must balance after the concurrent sweeps:
     // every retired version is freed or still parked in limbo, and the
     // contended herd definitely superseded versions for the GC to retire.
-    let rec = db.reclamation().expect("default layout is the arena");
+    let rec = db.reclamation();
     assert_eq!(rec.retired, rec.freed + rec.limbo, "retired=freed+limbo");
     assert!(rec.retired > 0, "GC retired superseded versions");
     assert!(rec.freed > 0, "epoch advanced enough to free some");
@@ -232,37 +212,16 @@ fn arena_store_herd_keeps_invariants() {
 
 #[test]
 fn flat_arena_store_herd_keeps_invariants() {
-    // The flat (non-adaptive) arena under the same herd: the PR 5 layout
-    // stays selectable and must keep every invariant without ever
-    // migrating a chain.
+    // The flat reference layout under the same herd must keep every
+    // invariant without ever migrating a chain.
     let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).arena_adaptive(false));
     let hot = run_herd(&db);
     assert_invariants(&db, &hot);
-    let rec = db.reclamation().expect("arena layout");
+    let rec = db.reclamation();
     assert_eq!(rec.retired, rec.freed + rec.limbo, "retired=freed+limbo");
     assert_eq!(rec.migrations, 0, "flat arena never migrates");
     assert_eq!(
         rec.packed_retired, 0,
         "flat arena never retires packed nodes"
     );
-}
-
-#[test]
-fn sharded_store_metrics_are_registered() {
-    let db = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot).store_shards(8));
-    let hot = run_herd(&db);
-    assert_invariants(&db, &hot);
-    let prom = db.render_prometheus().expect("obs on by default");
-    for series in [
-        "store_shard_contention_total",
-        "store_shard_lock_wait_us",
-        "store_shard_inline_pruned_total",
-        "store_shard_gc_sweeps_total",
-        "store_shard_0_contention_total",
-        "store_shard_7_contention_total",
-        "store_shard_0_keys",
-        "store_shard_7_versions",
-    ] {
-        assert!(prom.contains(series), "missing series {series}");
-    }
 }

@@ -18,34 +18,18 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
 
-# Oracle-backend gates: the three-way Serial/Sharded/Batched equivalence
-# property tests must hold for SI, WSI, and the bounded Algorithm-3
-# variant (exact OracleStats equality, §5.2 ranges included), the batched
-# backend's arrival-order determinism suite must pass, and both
-# multi-threaded stress suites run again in release mode (the debug run
-# above is too slow to shake out interleavings).
-cargo test -q -p wsi-core --test oracle_equivalence
-cargo test -q -p wsi-core --test batched_determinism
-cargo test -q --release -p wsi-store --test sharded_stress
-cargo test -q --release -p wsi-store --test batched_stress
+# Commit-path herd, again in release mode (the debug run above is too slow
+# to shake out interleavings): 8 threads on hot keys, asserting no lost
+# updates and per-row monotonic, globally unique commit timestamps.
+cargo test -q --release -p wsi-store --test commit_stress
 
-# Batched-backend bench smoke: the epoch ring must drain a pipelined
-# multi-thread sweep end-to-end (a liveness bug in the seal/plan/publish
-# protocol hangs here, not in the unit tests). Runs in a scratch dir so
-# the reduced-scale artifact never clobbers the committed full-scale one.
-oracle_scaling_bin="$(pwd)/target/release/oracle_scaling"
-batched_scratch="$(mktemp -d)"
-(cd "$batched_scratch" && "$oracle_scaling_bin" 150 5 --backend batched >/dev/null)
-rm -rf "$batched_scratch"
-
-# Partitioned-store gates: every store layout (single-lock, sharded,
-# lock-free arena flat and adaptive) must be observationally equivalent
-# (proptest over randomized interleavings, both isolation levels), and the
-# 8-thread invariant herd runs in release mode against all layouts —
-# including the adaptive arena with a concurrent GC/reclamation thread —
-# plus the metrics exposition.
+# Version-store gates: the adaptive layout must be observationally
+# equivalent to its flat reference (proptest over randomized
+# interleavings, both isolation levels), and the 8-thread invariant herd
+# runs in release mode against both — with a concurrent GC/reclamation
+# thread — plus the metrics exposition.
 cargo test -q -p wsi-store --test store_equivalence
-cargo test -q --release -p wsi-store --test store_shard_stress
+cargo test -q --release -p wsi-store --test store_stress
 
 # Adaptive-arena bench smoke: the packed-node claim/seal/spill/consolidate
 # protocol must drain a contended multi-thread sweep end-to-end (a
@@ -88,3 +72,17 @@ cargo test -q -p wsi-store --test retry_report
 
 # Every bench harness still runs and emits parseable artifacts.
 scripts/bench_smoke.sh
+
+# End-to-end smoke: a traced 1-second run of every BENCHMARK.json workload
+# through the benchmark's own command. A run exits nonzero when any of its
+# content, tally, span or recovery checks fails.
+mapfile -t e2e_cmd < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+e2e_log="$(mktemp)"
+for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    if ! "${e2e_cmd[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 1 >"$e2e_log" 2>&1; then
+        cat "$e2e_log"
+        echo "error: e2e smoke failed on $workload" >&2
+        exit 1
+    fi
+done
+rm -f "$e2e_log"
