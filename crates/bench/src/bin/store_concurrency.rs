@@ -14,7 +14,9 @@
 //! two read rows per write row, the oracle's conflict-check load exposes
 //! the paper's §6.3 asymmetry directly: WSI checks the read set (two
 //! `lastCommit` loads per transaction) where SI checks the write set (one),
-//! so `rows_checked` under WSI is ≈ 2× SI at identical workload. The
+//! so `rows_checked` under WSI is ≈ 2× SI at identical workload. SSI checks
+//! the write set like SI and adds its dangerous-structure window on the
+//! same commit path, so its rows are SI's plus the window's cost. The
 //! optional simulated flush delay models a replication round-trip, which is
 //! what makes group-commit batching visible in the `Sync` rows: throughput
 //! should fall far less than the per-commit delay would predict, and the
@@ -63,13 +65,6 @@ impl Row {
         } else {
             self.commits as f64 / (self.elapsed_us as f64 / 1e6)
         }
-    }
-}
-
-fn iso_name(isolation: IsolationLevel) -> &'static str {
-    match isolation {
-        IsolationLevel::Snapshot => "si",
-        IsolationLevel::WriteSnapshot => "wsi",
     }
 }
 
@@ -178,7 +173,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for durability in [Durability::None, Durability::Batched, Durability::Sync] {
-        for isolation in [IsolationLevel::Snapshot, IsolationLevel::WriteSnapshot] {
+        for isolation in IsolationLevel::ALL {
             for threads in THREAD_COUNTS {
                 let row = bench_one(
                     threads,
@@ -191,7 +186,7 @@ fn main() {
                 println!(
                     "{:>7} {:>4} {:>8} {:>10} {:>12.0} {:>10} {:>12} {:>8.2}",
                     row.threads,
-                    iso_name(row.isolation),
+                    row.isolation.short_name(),
                     dur_name(row.durability),
                     row.commits,
                     row.throughput_tps(),
@@ -213,7 +208,7 @@ fn main() {
              \"rows_checked\": {}, \"rows_recorded\": {}, \
              \"wal_records\": {}, \"wal_flushes\": {}, \"batch_factor\": {:.3}}}{}",
             row.threads,
-            iso_name(row.isolation),
+            row.isolation.short_name(),
             dur_name(row.durability),
             row.commits,
             row.elapsed_us,
@@ -244,7 +239,7 @@ fn main() {
                 "  {{\"threads\": {}, \"isolation\": \"{}\", \"durability\": \"{}\", \
                  \"metrics\": {}}}{}",
                 row.threads,
-                iso_name(row.isolation),
+                row.isolation.short_name(),
                 dur_name(row.durability),
                 if row.metrics_json.is_empty() {
                     "null"

@@ -38,6 +38,19 @@ pub enum AbortReason {
         /// The oracle's `T_max` at the time of the check.
         t_max: Timestamp,
     },
+    /// Serializable snapshot isolation: committing would complete a
+    /// dangerous structure — two consecutive rw-antidependencies among
+    /// concurrent transactions — either with this transaction as the pivot
+    /// or by making an already-committed transaction one.
+    Pivot {
+        /// Commit timestamp of the committed partner on the pivot's
+        /// incoming rw-edge, or [`Timestamp::ZERO`] when the structure
+        /// closes without one.
+        in_commit_ts: Timestamp,
+        /// Commit timestamp of the committed partner on the pivot's
+        /// outgoing rw-edge, or [`Timestamp::ZERO`] when absent.
+        out_commit_ts: Timestamp,
+    },
     /// The client requested the abort (e.g. an application-level rollback or
     /// a failed Percolator lock acquisition relayed to the oracle).
     ClientRequested,
@@ -58,19 +71,27 @@ impl AbortReason {
                 committed_at: committed_at.raw(),
             },
             AbortReason::TmaxExceeded { t_max, .. } => wsi_obs::Cause::Tmax { t_max: t_max.raw() },
+            AbortReason::Pivot {
+                in_commit_ts,
+                out_commit_ts,
+            } => wsi_obs::Cause::Pivot {
+                in_commit_ts: in_commit_ts.raw(),
+                out_commit_ts: out_commit_ts.raw(),
+            },
             AbortReason::ClientRequested => wsi_obs::Cause::Client,
         }
     }
 
     /// The commit timestamp this reason blames, when it names one (the
     /// per-row conflict verdict payload: the culprit's commit timestamp
-    /// for WW/RW conflicts, the eviction bound for `T_max` aborts).
+    /// for WW/RW conflicts, the eviction bound for `T_max` aborts). A pivot
+    /// is no per-row verdict; its partners travel in the reason itself.
     pub fn conflict_ts(&self) -> Option<Timestamp> {
         match *self {
             AbortReason::WriteWriteConflict { committed_at, .. }
             | AbortReason::ReadWriteConflict { committed_at, .. } => Some(committed_at),
             AbortReason::TmaxExceeded { t_max, .. } => Some(t_max),
-            AbortReason::ClientRequested => None,
+            AbortReason::Pivot { .. } | AbortReason::ClientRequested => None,
         }
     }
 }
@@ -93,6 +114,13 @@ impl fmt::Display for AbortReason {
             AbortReason::TmaxExceeded { start_ts, t_max } => write!(
                 f,
                 "conflict state evicted: start {start_ts} predates T_max {t_max}"
+            ),
+            AbortReason::Pivot {
+                in_commit_ts,
+                out_commit_ts,
+            } => write!(
+                f,
+                "dangerous structure: rw-edges to commits {in_commit_ts} (in) and {out_commit_ts} (out)"
             ),
             AbortReason::ClientRequested => write!(f, "abort requested by client"),
         }

@@ -18,8 +18,10 @@
 //!
 //! The same state machine, [`StatusOracleCore`], drives both isolation
 //! levels — the only difference is *which* of the two row sets is checked
-//! (writes for SI, reads for WSI), captured by [`IsolationLevel`]. Higher
-//! layers embed this state machine in different shells:
+//! (writes for SI, reads for WSI), captured by [`IsolationLevel`]. It also
+//! runs the §7.1 comparator, Cahill-style serializable snapshot isolation,
+//! as a third level: SI's check plus the dangerous-structure window of
+//! [`ssi`]. Higher layers embed this state machine in different shells:
 //!
 //! * `wsi-store` builds an embedded, thread-safe transactional multi-version
 //!   store that decides every commit under one mutex around this state

@@ -13,6 +13,10 @@
 //! conflicts). Both record the write set after a successful commit.
 //! Constructing the oracle with a bounded table turns either algorithm into
 //! its memory-bounded Algorithm 3 variant with `T_max` pessimistic aborts.
+//!
+//! The third level, serializable snapshot isolation, is SI's write-write
+//! check followed by the dangerous-structure rule over an [`SsiWindow`]
+//! that exists only at that level (see [`crate::ssi`]).
 
 use std::sync::Arc;
 
@@ -24,15 +28,19 @@ use crate::{
     lastcommit::{BoundedLastCommit, LastCommitTable, Probe, UnboundedLastCommit},
     policy::IsolationLevel,
     row::{RowId, RowRange},
+    ssi::SsiWindow,
     ts::{SharedTimestampSource, Timestamp, TimestampSource},
 };
 
 /// A commit request, as sent by a client to the status oracle.
 ///
 /// Under snapshot isolation only `write_rows` matters and clients may leave
-/// `read_rows` empty (Algorithm 1); under write-snapshot isolation both sets
-/// are submitted (Algorithm 2). Read-only transactions submit both sets
-/// empty and always commit without any oracle computation (§5.1).
+/// `read_rows` empty (Algorithm 1); under write-snapshot and serializable
+/// snapshot isolation both sets are submitted (Algorithm 2). Read-only
+/// transactions submit both sets empty and always commit without any
+/// oracle computation (§5.1) — except under serializable snapshot
+/// isolation, where a read-only transaction submits its read set and can
+/// be refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitRequest {
     /// The transaction's start timestamp, as issued by [`StatusOracleCore::begin`].
@@ -108,6 +116,9 @@ pub struct OracleStats {
     pub rw_aborts: u64,
     /// Pessimistic aborts due to `T_max` (Algorithm 3 only).
     pub tmax_aborts: u64,
+    /// Aborts by the dangerous-structure rule (serializable snapshot
+    /// isolation only).
+    pub pivot_aborts: u64,
     /// Aborts explicitly requested by clients.
     pub client_aborts: u64,
     /// `lastCommit` probes performed (memory items loaded for checking).
@@ -124,7 +135,7 @@ pub struct OracleStats {
 impl OracleStats {
     /// Total aborts of write transactions for any reason.
     pub fn total_aborts(&self) -> u64 {
-        self.ww_aborts + self.rw_aborts + self.tmax_aborts + self.client_aborts
+        self.ww_aborts + self.rw_aborts + self.tmax_aborts + self.pivot_aborts + self.client_aborts
     }
 
     /// Abort rate over decided write transactions (0 when none decided).
@@ -167,6 +178,9 @@ pub struct OracleCounters {
     pub rw_aborts: wsi_obs::Counter,
     /// Pessimistic aborts due to `T_max` (Algorithm 3 only).
     pub tmax_aborts: wsi_obs::Counter,
+    /// Aborts by the dangerous-structure rule (serializable snapshot
+    /// isolation only).
+    pub pivot_aborts: wsi_obs::Counter,
     /// Aborts explicitly requested by clients.
     pub client_aborts: wsi_obs::Counter,
     /// `lastCommit` probes performed (memory items loaded for checking).
@@ -195,6 +209,7 @@ impl OracleCounters {
             ww_aborts: self.ww_aborts.get(),
             rw_aborts: self.rw_aborts.get(),
             tmax_aborts: self.tmax_aborts.get(),
+            pivot_aborts: self.pivot_aborts.get(),
             client_aborts: self.client_aborts.get(),
             rows_checked: self.rows_checked.get(),
             rows_recorded: self.rows_recorded.get(),
@@ -215,6 +230,7 @@ impl OracleCounters {
             ww_aborts: self.ww_aborts.detached_copy(),
             rw_aborts: self.rw_aborts.detached_copy(),
             tmax_aborts: self.tmax_aborts.detached_copy(),
+            pivot_aborts: self.pivot_aborts.detached_copy(),
             client_aborts: self.client_aborts.detached_copy(),
             rows_checked: self.rows_checked.detached_copy(),
             rows_recorded: self.rows_recorded.detached_copy(),
@@ -227,7 +243,7 @@ impl OracleCounters {
     /// oracle shows up in metric exposition alongside the embedder's own
     /// series.
     pub fn register_in(&self, registry: &wsi_obs::Registry) {
-        let entries: [(&str, &wsi_obs::Counter); 12] = [
+        let entries: [(&str, &wsi_obs::Counter); 13] = [
             ("oracle_begins_total", &self.begins),
             ("oracle_commits_total", &self.commits),
             ("oracle_commits_overturned_total", &self.commits_overturned),
@@ -235,6 +251,7 @@ impl OracleCounters {
             ("oracle_ww_aborts_total", &self.ww_aborts),
             ("oracle_rw_aborts_total", &self.rw_aborts),
             ("oracle_tmax_aborts_total", &self.tmax_aborts),
+            ("oracle_pivot_aborts_total", &self.pivot_aborts),
             ("oracle_client_aborts_total", &self.client_aborts),
             ("oracle_rows_checked_total", &self.rows_checked),
             ("oracle_rows_recorded_total", &self.rows_recorded),
@@ -341,10 +358,12 @@ fn check_row_probe(
 ) -> std::result::Result<(), AbortReason> {
     match probe {
         Probe::Resident(last) if last > start_ts => Err(match level {
-            IsolationLevel::Snapshot => AbortReason::WriteWriteConflict {
-                row,
-                committed_at: last,
-            },
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => {
+                AbortReason::WriteWriteConflict {
+                    row,
+                    committed_at: last,
+                }
+            }
             IsolationLevel::WriteSnapshot => AbortReason::ReadWriteConflict {
                 row,
                 committed_at: last,
@@ -413,6 +432,9 @@ pub struct StatusOracleCore {
     last_commit: Table,
     commit_table: CommitTable,
     counters: OracleCounters,
+    /// The dangerous-structure window; present exactly at
+    /// [`IsolationLevel::SerializableSnapshot`].
+    ssi: Option<SsiWindow>,
     /// Flight recorder for per-row verdicts (see
     /// [`StatusOracleCore::with_journal`]).
     journal: Option<Journal>,
@@ -430,24 +452,34 @@ impl Clone for StatusOracleCore {
             last_commit: self.last_commit.clone(),
             commit_table: self.commit_table.clone(),
             counters: self.counters.detached_copy(),
+            ssi: self.ssi.clone(),
             journal: None,
         }
     }
 }
 
 impl StatusOracleCore {
+    fn new(level: IsolationLevel, ts: TsMode, last_commit: Table) -> Self {
+        StatusOracleCore {
+            level,
+            ts,
+            last_commit,
+            commit_table: CommitTable::new(),
+            counters: OracleCounters::default(),
+            ssi: (level == IsolationLevel::SerializableSnapshot).then(SsiWindow::new),
+            journal: None,
+        }
+    }
+
     /// Creates an oracle with an unbounded `lastCommit` table
     /// (Algorithm 1 for [`IsolationLevel::Snapshot`], Algorithm 2 for
     /// [`IsolationLevel::WriteSnapshot`]).
     pub fn unbounded(level: IsolationLevel) -> Self {
-        StatusOracleCore {
+        Self::new(
             level,
-            ts: TsMode::Local(TimestampSource::new()),
-            last_commit: Table::Unbounded(UnboundedLastCommit::new()),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-            journal: None,
-        }
+            TsMode::Local(TimestampSource::new()),
+            Table::Unbounded(UnboundedLastCommit::new()),
+        )
     }
 
     /// Creates an unbounded oracle that draws timestamps from a lock-free
@@ -460,14 +492,11 @@ impl StatusOracleCore {
     /// externally should count begins themselves; [`StatusOracleCore::begin`]
     /// still works and still counts.
     pub fn unbounded_shared(level: IsolationLevel, ts: Arc<SharedTimestampSource>) -> Self {
-        StatusOracleCore {
+        Self::new(
             level,
-            ts: TsMode::Shared(ts),
-            last_commit: Table::Unbounded(UnboundedLastCommit::new()),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-            journal: None,
-        }
+            TsMode::Shared(ts),
+            Table::Unbounded(UnboundedLastCommit::new()),
+        )
     }
 
     /// Creates a bounded (Algorithm 3) oracle over a shared lock-free
@@ -481,14 +510,11 @@ impl StatusOracleCore {
         capacity: usize,
         ts: Arc<SharedTimestampSource>,
     ) -> Self {
-        StatusOracleCore {
+        Self::new(
             level,
-            ts: TsMode::Shared(ts),
-            last_commit: Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-            journal: None,
-        }
+            TsMode::Shared(ts),
+            Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
+        )
     }
 
     /// Creates an oracle whose `lastCommit` table retains at most `capacity`
@@ -498,14 +524,11 @@ impl StatusOracleCore {
     ///
     /// Panics if `capacity` is zero.
     pub fn bounded(level: IsolationLevel, capacity: usize) -> Self {
-        StatusOracleCore {
+        Self::new(
             level,
-            ts: TsMode::Local(TimestampSource::new()),
-            last_commit: Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
-            commit_table: CommitTable::new(),
-            counters: OracleCounters::default(),
-            journal: None,
-        }
+            TsMode::Local(TimestampSource::new()),
+            Table::Bounded(BoundedLastCommit::with_capacity(capacity)),
+        )
     }
 
     /// Attaches a flight-recorder journal: every row [`StatusOracleCore::check`]
@@ -536,20 +559,33 @@ impl StatusOracleCore {
     /// Read-only requests commit immediately: the paper shows a read-only
     /// transaction is equivalent to one shifted to its start point
     /// (Figure 3), so it needs no commit timestamp and no conflict check; the
-    /// returned outcome carries the transaction's start timestamp.
+    /// returned outcome carries the transaction's start timestamp. The one
+    /// exception is a read-only request with reads under serializable
+    /// snapshot isolation, which the dangerous-structure rule decides; its
+    /// window position is the last issued timestamp, so it burns none.
     ///
     /// For write transactions the configured row set is probed against
     /// `lastCommit`; on success a fresh commit timestamp is issued, the write
     /// set is recorded, and the commit is registered in the commit table. On
     /// conflict the transaction is registered as aborted.
     pub fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        if req.is_read_only() {
+        // Under serializable snapshot isolation a read-only transaction's
+        // snapshot reads can close a cycle as the third transaction (Fekete,
+        // O'Neil & O'Neil's read-only anomaly), so the dangerous-structure
+        // rule may refuse it, and its reads must stay in the window for
+        // later writers.
+        if req.is_read_only() && (self.ssi.is_none() || req.read_rows.is_empty()) {
             // §5.1: both sets are submitted empty; the oracle commits without
             // performing any computation for the transaction.
             self.counters.read_only_commits.inc();
             return CommitOutcome::Committed(req.start_ts);
         }
         match self.check(&req) {
+            Ok(()) if req.is_read_only() => {
+                let position = self.ts.last_issued();
+                self.finish_commit_at(&req, position);
+                CommitOutcome::Committed(req.start_ts)
+            }
             Ok(()) => CommitOutcome::Committed(self.commit_unchecked(&req)),
             Err(reason) => self.register_abort(req.start_ts, reason),
         }
@@ -565,13 +601,25 @@ impl StatusOracleCore {
     /// `self.last_issued_ts().next()`; with a shared source concurrent starts
     /// may intervene, so the timestamp is only known once issued.
     ///
-    /// Read-only requests trivially pass.
+    /// Under serializable snapshot isolation the dangerous-structure rule
+    /// runs after the write-write check; its rw-edge partners are kept for
+    /// the [`StatusOracleCore::finish_commit_at`] of the same request
+    /// (state the conflict check itself never reads). Other read-only
+    /// requests trivially pass.
     pub fn check(&mut self, req: &CommitRequest) -> std::result::Result<(), AbortReason> {
-        if req.is_read_only() {
-            return Ok(());
+        if !req.is_read_only() {
+            self.check_rows(req)?;
         }
+        if let Some(window) = &mut self.ssi {
+            window.check(req)?;
+        }
+        Ok(())
+    }
+
+    /// The `lastCommit` probes of Algorithms 1–3 for a write transaction.
+    fn check_rows(&mut self, req: &CommitRequest) -> std::result::Result<(), AbortReason> {
         let check_rows: &[RowId] = match self.level {
-            IsolationLevel::Snapshot => &req.write_rows,
+            IsolationLevel::Snapshot | IsolationLevel::SerializableSnapshot => &req.write_rows,
             IsolationLevel::WriteSnapshot => &req.read_rows,
         };
         // One counter add per loop (early-abort exits included) keeps the
@@ -630,8 +678,19 @@ impl StatusOracleCore {
     /// Concurrent embedders use this to issue the commit timestamp inside a
     /// narrower critical section (e.g. atomically with publishing to a
     /// reader-visible index) and then complete the oracle bookkeeping:
-    /// `lastCommit` rows, the commit-table entry, and counters.
+    /// `lastCommit` rows, the commit-table entry, and counters. Under
+    /// serializable snapshot isolation it also records the window entry and
+    /// flags the entry's rw-edge partners; an SSI read-only request with
+    /// reads passes here too, with its window position as `commit_ts`, and
+    /// counts as a read-only commit.
     pub fn finish_commit_at(&mut self, req: &CommitRequest, commit_ts: Timestamp) {
+        if let Some(window) = &mut self.ssi {
+            window.record(req, commit_ts);
+        }
+        if req.is_read_only() {
+            self.counters.read_only_commits.inc();
+            return;
+        }
         for &row in &req.write_rows {
             self.counters.rows_recorded.inc();
             let evicted = self.last_commit.record(row, commit_ts);
@@ -667,7 +726,10 @@ impl StatusOracleCore {
     /// The `lastCommit` rows recorded at decide time are deliberately left in
     /// place: a stale `lastCommit` entry can only cause spurious aborts of
     /// concurrent transactions, never admit a conflicting commit, and commits
-    /// decided after this one have already been checked against it.
+    /// decided after this one have already been checked against it. The
+    /// same holds for the SSI window entry and the conflict flags it set on
+    /// its partners: a phantom edge can only complete more dangerous
+    /// structures, never hide one.
     pub fn abort_after_decide(&mut self, start_ts: Timestamp) {
         self.commit_table.overturn_commit(start_ts);
         self.counters.commits_overturned.inc();
@@ -678,6 +740,7 @@ impl StatusOracleCore {
             AbortReason::WriteWriteConflict { .. } => self.counters.ww_aborts.inc(),
             AbortReason::ReadWriteConflict { .. } => self.counters.rw_aborts.inc(),
             AbortReason::TmaxExceeded { .. } => self.counters.tmax_aborts.inc(),
+            AbortReason::Pivot { .. } => self.counters.pivot_aborts.inc(),
             AbortReason::ClientRequested => self.counters.client_aborts.inc(),
         }
         self.commit_table.record_abort(start_ts);
@@ -702,6 +765,20 @@ impl StatusOracleCore {
     /// Number of rows resident in `lastCommit`.
     pub fn resident_rows(&self) -> usize {
         self.last_commit.len()
+    }
+
+    /// Prunes the SSI window below a low-water mark that no current or
+    /// future transaction starts under (a no-op at SI and WSI). The window
+    /// holds no active set of its own, so the embedder supplies the mark.
+    pub fn prune_ssi_window(&mut self, watermark: Timestamp) {
+        if let Some(window) = &mut self.ssi {
+            window.prune_below(watermark);
+        }
+    }
+
+    /// Committed transactions in the SSI window (0 at SI and WSI).
+    pub fn ssi_window_len(&self) -> usize {
+        self.ssi.as_ref().map_or(0, SsiWindow::len)
     }
 
     /// Probes the `lastCommit` table for one row without counting it as a
@@ -735,6 +812,9 @@ impl StatusOracleCore {
     /// the timestamp counter past `commit_ts` so no timestamp is ever
     /// reissued. Recovery replays records in WAL order, which is commit
     /// order, so `lastCommit` ends in the same state as before the crash.
+    /// The SSI window is not rebuilt: commit records carry no read sets,
+    /// and no transaction concurrent with a pre-crash commit survives the
+    /// crash, so a replayed entry could never fire.
     pub fn replay_commit(&mut self, start_ts: Timestamp, commit_ts: Timestamp, rows: &[RowId]) {
         self.ts.advance_to(commit_ts);
         for &row in rows {

@@ -13,7 +13,7 @@ use crate::ts::Timestamp;
 
 /// The isolation level enforced by a status oracle or transaction manager.
 ///
-/// Both levels give every transaction a consistent read snapshot determined
+/// Every level gives each transaction a consistent read snapshot determined
 /// by its start timestamp; they differ only in which conflicts abort a
 /// transaction at commit time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,9 +24,21 @@ pub enum IsolationLevel {
     /// Write-snapshot isolation: abort on read-write conflicts
     /// (Algorithm 2). Serializable (paper, Theorem 1).
     WriteSnapshot,
+    /// Cahill-style serializable snapshot isolation (§7.1 comparator):
+    /// SI's write-write check plus the dangerous-structure rule over a
+    /// window of recently committed transactions. Serializable; unlike
+    /// the other two levels, a read-only transaction can abort.
+    SerializableSnapshot,
 }
 
 impl IsolationLevel {
+    /// Every level, in the order SI, WSI, SSI.
+    pub const ALL: [IsolationLevel; 3] = [
+        IsolationLevel::Snapshot,
+        IsolationLevel::WriteSnapshot,
+        IsolationLevel::SerializableSnapshot,
+    ];
+
     /// Returns `true` for levels that are serializable.
     ///
     /// Snapshot isolation admits non-serializable histories such as write
@@ -36,16 +48,25 @@ impl IsolationLevel {
     pub fn is_serializable(self) -> bool {
         match self {
             IsolationLevel::Snapshot => false,
-            IsolationLevel::WriteSnapshot => true,
+            IsolationLevel::WriteSnapshot | IsolationLevel::SerializableSnapshot => true,
         }
     }
 
-    /// A short human-readable name ("si" / "wsi"), used in benchmark output.
+    /// A short human-readable name ("si" / "wsi" / "ssi"), used in
+    /// benchmark output and repro commands.
     pub fn short_name(self) -> &'static str {
         match self {
             IsolationLevel::Snapshot => "si",
             IsolationLevel::WriteSnapshot => "wsi",
+            IsolationLevel::SerializableSnapshot => "ssi",
         }
+    }
+
+    /// Parses a [`IsolationLevel::short_name`] back into a level.
+    pub fn from_short_name(name: &str) -> Option<IsolationLevel> {
+        IsolationLevel::ALL
+            .into_iter()
+            .find(|level| level.short_name() == name)
     }
 }
 
@@ -54,6 +75,9 @@ impl std::fmt::Display for IsolationLevel {
         match self {
             IsolationLevel::Snapshot => write!(f, "snapshot isolation"),
             IsolationLevel::WriteSnapshot => write!(f, "write-snapshot isolation"),
+            IsolationLevel::SerializableSnapshot => {
+                write!(f, "serializable snapshot isolation")
+            }
         }
     }
 }
@@ -182,6 +206,14 @@ mod tests {
         assert!(IsolationLevel::WriteSnapshot.is_serializable());
         assert_eq!(IsolationLevel::Snapshot.short_name(), "si");
         assert_eq!(IsolationLevel::WriteSnapshot.short_name(), "wsi");
+        assert!(IsolationLevel::SerializableSnapshot.is_serializable());
+        for level in IsolationLevel::ALL {
+            assert_eq!(
+                IsolationLevel::from_short_name(level.short_name()),
+                Some(level)
+            );
+        }
+        assert_eq!(IsolationLevel::from_short_name("rc"), None);
         assert_eq!(
             IsolationLevel::WriteSnapshot.to_string(),
             "write-snapshot isolation"

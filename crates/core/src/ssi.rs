@@ -1,4 +1,4 @@
-//! Serializable snapshot isolation (SSI) — the §7.1 comparator.
+//! The dangerous-structure window of serializable snapshot isolation (SSI).
 //!
 //! Cahill, Röhm, and Fekete ("Serializable isolation for snapshot
 //! databases", TODS 2009) make snapshot isolation serializable by detecting
@@ -10,45 +10,36 @@
 //! graph, but "allows for false positives, which further lowers the
 //! concurrency level due to unnecessary aborts" (§7.1).
 //!
-//! [`SsiOracle`] implements SSI in the same centralized, commit-time
-//! validated setting as [`crate::StatusOracleCore`], so the three levels can
-//! be compared on identical schedules:
-//!
-//! * runs the plain SI write-write check first (SSI builds on SI);
-//! * tracks, for a sliding window of recently committed transactions, their
-//!   read/write sets and conflict flags;
-//! * on commit of `T`, finds rw-antidependencies between `T` and
-//!   overlapping committed transactions in both directions, and aborts `T`
-//!   if the commit would complete a dangerous structure — either `T` itself
-//!   becomes a pivot, or an already-committed transaction would.
+//! SSI is not a separate oracle: [`crate::StatusOracleCore`] at
+//! [`crate::IsolationLevel::SerializableSnapshot`] runs SI's write-write
+//! check and then consults an [`SsiWindow`], which exists only at that
+//! level. The window keeps, for recently committed transactions, their
+//! read/write sets and conflict flags. On commit of `T` it finds
+//! rw-antidependencies between `T` and overlapping committed transactions
+//! in both directions, and refuses `T` if the commit would complete a
+//! dangerous structure — either `T` itself becomes a pivot, or an
+//! already-committed transaction would.
 //!
 //! Compared to write-snapshot isolation: SSI admits some histories WSI
 //! rejects (the paper's History 6 — an out-edge alone is not dangerous) but
-//! pays two set intersections per commit instead of one probe per read row,
-//! keeps whole read/write *sets* of recent transactions resident rather
-//! than one timestamp per row, and still aborts serializable executions
-//! whenever a pivot is not actually on a cycle.
+//! pays two set intersections per window entry instead of one probe per
+//! read row, keeps whole read/write *sets* of recent transactions resident
+//! rather than one timestamp per row, and still aborts serializable
+//! executions whenever a pivot is not actually on a cycle.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use wsi_obs::{Cause, EventData, Journal};
+use crate::{error::AbortReason, oracle::CommitRequest, row::RowId, ts::Timestamp};
 
-use crate::{
-    commit_table::{CommitTable, TxnStatus},
-    error::{AbortReason, CommitOutcome},
-    lastcommit::{LastCommitTable, Probe, UnboundedLastCommit},
-    oracle::CommitRequest,
-    row::RowId,
-    ts::{Timestamp, TimestampSource},
-};
-
-/// A committed transaction retained in the SSI detection window.
+/// A committed transaction retained in the detection window.
 #[derive(Debug, Clone)]
 struct WindowEntry {
+    /// The transaction's commit position: its commit timestamp, or for a
+    /// read-only transaction the last timestamp issued when it committed.
     commit_ts: Timestamp,
-    /// Ordered sets: probe order (and the abort-reason row reported when a
-    /// dangerous structure fires) must be a pure function of the request,
-    /// never of hasher seeding — seed-reproducible runs depend on it.
+    /// Ordered sets: probe order (and the partner an abort names) must be
+    /// a pure function of the request, never of hasher seeding —
+    /// seed-reproducible runs depend on it.
     reads: BTreeSet<RowId>,
     writes: BTreeSet<RowId>,
     /// Some concurrent transaction has an rw-antidependency *into* this one
@@ -59,266 +50,38 @@ struct WindowEntry {
     out_conflict: bool,
 }
 
-/// Counters for the SSI oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SsiStats {
-    /// Transactions begun.
-    pub begins: u64,
-    /// Write transactions committed.
-    pub commits: u64,
-    /// Read-only commits (free, as under SI/WSI).
-    pub read_only_commits: u64,
-    /// Aborts from the underlying SI write-write check.
-    pub ww_aborts: u64,
-    /// Aborts from the dangerous-structure rule.
-    pub pivot_aborts: u64,
-    /// Commits overturned because the durability hook failed (WAL quorum
-    /// loss between decision and persistence; see
-    /// [`SsiOracle::commit_durable`]).
-    pub wal_aborts: u64,
-    /// Client-requested aborts ([`SsiOracle::abort`]).
-    pub client_aborts: u64,
+/// A passing check's rw-edge partners, kept for the [`SsiWindow::record`]
+/// that follows it in the same critical section.
+#[derive(Debug, Clone)]
+struct Partners {
+    start_ts: Timestamp,
+    /// Window length when the partners were found; indices are valid only
+    /// while the window has neither grown nor been pruned since.
+    window_len: usize,
+    /// `T →rw U`: U overwrote something T read, committing during T's life.
+    out: Vec<usize>,
+    /// `U →rw T`: U read something T overwrites, and U was concurrent.
+    in_: Vec<usize>,
 }
 
-impl SsiStats {
-    /// Total aborts.
-    pub fn total_aborts(&self) -> u64 {
-        self.ww_aborts + self.pivot_aborts + self.wal_aborts + self.client_aborts
-    }
-
-    /// Abort rate over decided write transactions (client-requested aborts
-    /// never reach a decision, so they are excluded).
-    pub fn abort_rate(&self) -> f64 {
-        let refused = self.ww_aborts + self.pivot_aborts + self.wal_aborts;
-        let decided = self.commits + refused;
-        if decided == 0 {
-            0.0
-        } else {
-            refused as f64 / decided as f64
-        }
-    }
+/// The SSI detection window: committed transactions' read/write sets and
+/// conflict flags, pruned by the embedder from a low-water mark.
+#[derive(Debug, Clone, Default)]
+pub struct SsiWindow {
+    entries: VecDeque<WindowEntry>,
+    partners: Option<Partners>,
 }
 
-/// A centralized, commit-time-validated implementation of Cahill-style SSI.
-///
-/// # Example: write skew aborts, but History 6 is admitted
-///
-/// ```
-/// use wsi_core::{ssi::SsiOracle, CommitRequest, RowId};
-///
-/// let mut o = SsiOracle::new();
-/// // History 6: r1[x] r2[z] w2[x] w1[y] c2 c1 — serializable, rejected by
-/// // WSI, admitted by SSI (txn1 has an out-conflict but no in-conflict).
-/// let t1 = o.begin();
-/// let t2 = o.begin();
-/// assert!(o
-///     .commit(CommitRequest::new(t2, vec![RowId(3)], vec![RowId(1)]))
-///     .is_committed());
-/// assert!(o
-///     .commit(CommitRequest::new(t1, vec![RowId(1)], vec![RowId(2)]))
-///     .is_committed());
-/// ```
-#[derive(Debug, Default)]
-pub struct SsiOracle {
-    ts: TimestampSource,
-    last_commit: UnboundedLastCommit,
-    commit_table: CommitTable,
-    window: VecDeque<WindowEntry>,
-    /// Start timestamps of in-flight transactions (window pruning bound).
-    active: BTreeMap<Timestamp, ()>,
-    stats: SsiStats,
-    journal: Option<Journal>,
-}
-
-impl SsiOracle {
-    /// Creates an empty oracle.
+impl SsiWindow {
+    /// An empty window.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Attaches a flight-recorder journal. Unlike the SI/WSI split (where
-    /// the embedding `Db` records lifecycle events and the oracle only the
-    /// per-row verdicts), the SSI oracle owns every decision — WW base
-    /// check, dangerous-structure detection, durability overturns — so it
-    /// records the full event stream itself, including the in/out rw-edge
-    /// partners of a pivot abort ([`Cause::Pivot`]).
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
-    fn record(&self, txn: Timestamp, data: EventData) {
-        if let Some(journal) = &self.journal {
-            journal.record(txn.raw(), data);
-        }
-    }
-
-    /// Issues a start timestamp.
-    pub fn begin(&mut self) -> Timestamp {
-        self.stats.begins += 1;
-        let ts = self.ts.next();
-        self.active.insert(ts, ());
-        self.record(ts, EventData::Begin);
-        ts
-    }
-
-    /// Registers a client abort.
-    pub fn abort(&mut self, start_ts: Timestamp) {
-        self.stats.client_aborts += 1;
-        self.active.remove(&start_ts);
-        self.commit_table.record_abort(start_ts);
-        self.record(start_ts, EventData::Abort(Cause::Client));
-    }
-
-    /// Decides a commit request.
-    pub fn commit(&mut self, req: CommitRequest) -> CommitOutcome {
-        enum Never {}
-        match self.commit_durable(req, |_| Ok::<(), Never>(())) {
-            Ok(outcome) => outcome,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Decides a commit request with a durability hook.
-    ///
-    /// If the decision is *commit*, `persist` is invoked with the issued
-    /// commit timestamp **before any oracle state is mutated** — the caller
-    /// appends and flushes the WAL record inside it. On `Err` the decision
-    /// is overturned as if it were never made: the transaction is recorded
-    /// as aborted (count it with [`SsiStats::wal_aborts`]), no conflict flag
-    /// or `lastCommit` entry changes, and only the commit timestamp stays
-    /// burned. This is the WAL-before-exposure discipline a durable SSI
-    /// engine needs; [`SsiOracle::commit`] is this method with an
-    /// infallible hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `persist`'s error after recording the overturn.
-    pub fn commit_durable<E>(
-        &mut self,
-        req: CommitRequest,
-        persist: impl FnOnce(Timestamp) -> std::result::Result<(), E>,
-    ) -> std::result::Result<CommitOutcome, E> {
-        if req.is_read_only() {
-            // Read-only transactions skip the WAL (nothing to persist) but
-            // NOT the dangerous-structure check: a snapshot read can close
-            // a cycle as the third transaction — Fekete, O'Neil & O'Neil's
-            // read-only anomaly — by handing an in-conflict to a committed
-            // transaction that already carries an out-conflict. (The
-            // `ssi_checker` property test finds such schedules within a few
-            // hundred random seeds if reads are skipped here.) With no
-            // writes the transaction has no in-edge and cannot itself be
-            // the pivot, so only rule 2 applies.
-            let reads: BTreeSet<RowId> = req.read_rows.iter().copied().collect();
-            let mut out_partners: Vec<usize> = Vec::new();
-            for (idx, u) in self.window.iter().enumerate() {
-                if u.commit_ts < req.start_ts {
-                    continue;
-                }
-                if u.writes.iter().any(|r| reads.contains(r)) {
-                    out_partners.push(idx);
-                }
-            }
-            if let Some(&pivot) = out_partners
-                .iter()
-                .find(|&&idx| self.window[idx].out_conflict)
-            {
-                // T →rw U would make the already-committed U a pivot. The
-                // journal names U (T's out-edge partner) as the culprit; T
-                // has no in-edge — it is read-only.
-                self.stats.pivot_aborts += 1;
-                self.active.remove(&req.start_ts);
-                self.commit_table.record_abort(req.start_ts);
-                self.record(
-                    req.start_ts,
-                    EventData::Abort(Cause::Pivot {
-                        in_commit_ts: 0,
-                        out_commit_ts: self.window[pivot].commit_ts.raw(),
-                    }),
-                );
-                return Ok(CommitOutcome::Aborted(AbortReason::ReadWriteConflict {
-                    row: *reads.iter().next().expect("partners imply reads"),
-                    committed_at: req.start_ts,
-                }));
-            }
-            let out_t = !out_partners.is_empty();
-            for &idx in &out_partners {
-                self.window[idx].in_conflict = true;
-            }
-            self.active.remove(&req.start_ts);
-            if !reads.is_empty() {
-                // The reads must stay probeable: a writer committing later
-                // may acquire an in-conflict from this transaction. The
-                // entry's commit stamp is issued from the shared source so
-                // the concurrency test (`commit_ts < start_ts`) sees the
-                // true commit position, even though the caller-visible
-                // commit timestamp of a read-only transaction remains its
-                // start (it reads exactly the snapshot state).
-                let commit_ts = self.ts.next();
-                self.window.push_back(WindowEntry {
-                    commit_ts,
-                    reads,
-                    writes: BTreeSet::new(),
-                    in_conflict: false,
-                    out_conflict: out_t,
-                });
-                self.prune_window();
-            }
-            self.stats.read_only_commits += 1;
-            self.record(req.start_ts, EventData::ReadOnlyCommit);
-            return Ok(CommitOutcome::Committed(req.start_ts));
-        }
-
-        // --- SI base: first-committer-wins write-write check. ------------
-        for &row in &req.write_rows {
-            if let Probe::Resident(last) = self.last_commit.probe(row) {
-                if last > req.start_ts {
-                    self.record(
-                        req.start_ts,
-                        EventData::CheckRow {
-                            row: row.raw(),
-                            conflict: Some(last.raw()),
-                        },
-                    );
-                    self.stats.ww_aborts += 1;
-                    self.active.remove(&req.start_ts);
-                    self.commit_table.record_abort(req.start_ts);
-                    self.record(
-                        req.start_ts,
-                        EventData::Abort(Cause::WriteWrite {
-                            row: row.raw(),
-                            committed_at: last.raw(),
-                        }),
-                    );
-                    return Ok(CommitOutcome::Aborted(AbortReason::WriteWriteConflict {
-                        row,
-                        committed_at: last,
-                    }));
-                }
-            }
-            self.record(
-                req.start_ts,
-                EventData::CheckRow {
-                    row: row.raw(),
-                    conflict: None,
-                },
-            );
-        }
-
-        // --- Dangerous-structure detection. -------------------------------
-        let reads: BTreeSet<RowId> = req.read_rows.iter().copied().collect();
-        let writes: BTreeSet<RowId> = req.write_rows.iter().copied().collect();
-        // T's partners among committed, temporally overlapping transactions:
-        // out: T →rw U (U overwrote something T read, committing during T's
-        //      lifetime);
-        // in:  U →rw T (U read something T overwrites; U was concurrent).
-        let mut out_partners: Vec<usize> = Vec::new();
-        let mut in_partners: Vec<usize> = Vec::new();
-        for (idx, u) in self.window.iter().enumerate() {
+    fn find_partners(&self, req: &CommitRequest) -> Partners {
+        let mut out = Vec::new();
+        let mut in_ = Vec::new();
+        for (idx, u) in self.entries.iter().enumerate() {
             // Concurrency between T and a committed U: T started before U
             // committed (T commits after every committed U by construction,
             // so the other half of lifetime overlap always holds). A U that
@@ -327,202 +90,144 @@ impl SsiOracle {
             if u.commit_ts < req.start_ts {
                 continue;
             }
-            if u.writes.iter().any(|r| reads.contains(r)) {
-                out_partners.push(idx);
+            if req.read_rows.iter().any(|r| u.writes.contains(r)) {
+                out.push(idx);
             }
-            if u.reads.iter().any(|r| writes.contains(r)) {
-                in_partners.push(idx);
+            if req.write_rows.iter().any(|r| u.reads.contains(r)) {
+                in_.push(idx);
             }
         }
-        let in_t = !in_partners.is_empty();
-        let out_t = !out_partners.is_empty();
-        // The dangerous structure's edge partners, `(in_commit_ts,
-        // out_commit_ts)`, recorded for abort forensics: a 0 marks an edge
-        // the pivot does not have (rule 2 fires on one edge alone).
+        Partners {
+            start_ts: req.start_ts,
+            window_len: self.entries.len(),
+            out,
+            in_,
+        }
+    }
+
+    /// Runs the dangerous-structure rule for `req` against the window
+    /// without changing any flag. On success the partners found are kept
+    /// for the [`SsiWindow::record`] of the same request.
+    ///
+    /// A read-only request is checked too: its snapshot reads can hand an
+    /// in-conflict to a committed transaction that already carries an
+    /// out-conflict — Fekete, O'Neil & O'Neil's read-only anomaly — and
+    /// with no writes it has no in-edge and cannot itself be the pivot.
+    ///
+    /// # Errors
+    ///
+    /// [`AbortReason::Pivot`] naming the committed edge partners.
+    pub fn check(&mut self, req: &CommitRequest) -> Result<(), AbortReason> {
+        let partners = self.find_partners(req);
+        let commit_ts = |idx: usize| self.entries[idx].commit_ts;
         // Rule 1: T itself is a pivot — both edges go to committed
         // partners, named by their commit timestamps.
-        let mut dangerous: Option<(u64, u64)> = if in_t && out_t {
-            Some((
-                self.window[in_partners[0]].commit_ts.raw(),
-                self.window[out_partners[0]].commit_ts.raw(),
-            ))
-        } else {
-            None
+        let mut dangerous = match (partners.in_.first(), partners.out.first()) {
+            (Some(&i), Some(&o)) => Some((commit_ts(i), commit_ts(o))),
+            _ => None,
         };
         // Rule 2: committing T would turn an already-committed transaction
-        // into a pivot (it cannot be aborted anymore, so T must be).
+        // into a pivot (it cannot be aborted anymore, so T must be). T →rw U
+        // gives U an in-conflict, dangerous if U already has an
+        // out-conflict; U →rw T gives U an out-conflict, dangerous if U
+        // already has an in-conflict. The absent edge is named as zero.
         if dangerous.is_none() {
-            for &idx in &out_partners {
-                // T →rw U gives U an in-conflict; dangerous if U already has
-                // an out-conflict.
-                if self.window[idx].out_conflict {
-                    dangerous = Some((0, self.window[idx].commit_ts.raw()));
-                    break;
-                }
-            }
-        }
-        if dangerous.is_none() {
-            for &idx in &in_partners {
-                // U →rw T gives U an out-conflict; dangerous if U already
-                // has an in-conflict.
-                if self.window[idx].in_conflict {
-                    dangerous = Some((self.window[idx].commit_ts.raw(), 0));
-                    break;
-                }
-            }
+            dangerous = partners
+                .out
+                .iter()
+                .find(|&&idx| self.entries[idx].out_conflict)
+                .map(|&idx| (Timestamp::ZERO, commit_ts(idx)))
+                .or_else(|| {
+                    partners
+                        .in_
+                        .iter()
+                        .find(|&&idx| self.entries[idx].in_conflict)
+                        .map(|&idx| (commit_ts(idx), Timestamp::ZERO))
+                });
         }
         if let Some((in_commit_ts, out_commit_ts)) = dangerous {
-            self.stats.pivot_aborts += 1;
-            self.active.remove(&req.start_ts);
-            self.commit_table.record_abort(req.start_ts);
-            self.record(
-                req.start_ts,
-                EventData::Abort(Cause::Pivot {
-                    in_commit_ts,
-                    out_commit_ts,
-                }),
-            );
-            // Smallest read row: deterministic (the sets are ordered), so a
-            // replayed schedule reports the identical abort reason.
-            return Ok(CommitOutcome::Aborted(AbortReason::ReadWriteConflict {
-                row: *reads
-                    .iter()
-                    .next()
-                    .or_else(|| writes.iter().next())
-                    .expect("write txn has rows"),
-                committed_at: req.start_ts,
-            }));
+            return Err(AbortReason::Pivot {
+                in_commit_ts,
+                out_commit_ts,
+            });
         }
+        self.partners = Some(partners);
+        Ok(())
+    }
 
-        // --- Commit: persist durably, then publish flags and state. -------
-        let commit_ts = self.ts.next();
-        if let Err(e) = persist(commit_ts) {
-            // Overturned before any state mutation: no conflict flag,
-            // `lastCommit` entry, or window entry ever referenced this
-            // transaction, so nothing needs undoing.
-            self.stats.wal_aborts += 1;
-            self.active.remove(&req.start_ts);
-            self.commit_table.record_abort(req.start_ts);
-            self.record(req.start_ts, EventData::Abort(Cause::QuorumLoss));
-            return Err(e);
+    /// Records a commit that [`SsiWindow::check`] admitted: flags its edge
+    /// partners and appends its entry. `commit_ts` is the commit position
+    /// (for a read-only transaction, the last timestamp issued when it
+    /// committed). A read-only transaction that read nothing can take part
+    /// in no edge and leaves no entry.
+    pub fn record(&mut self, req: &CommitRequest, commit_ts: Timestamp) {
+        let partners = match self.partners.take() {
+            Some(p) if p.start_ts == req.start_ts && p.window_len == self.entries.len() => p,
+            _ => self.find_partners(req),
+        };
+        for &idx in &partners.out {
+            self.entries[idx].in_conflict = true;
         }
-        for &idx in &out_partners {
-            self.window[idx].in_conflict = true;
+        for &idx in &partners.in_ {
+            self.entries[idx].out_conflict = true;
         }
-        for &idx in &in_partners {
-            self.window[idx].out_conflict = true;
+        if req.read_rows.is_empty() && req.write_rows.is_empty() {
+            return;
         }
-        for &row in &req.write_rows {
-            self.last_commit.record(row, commit_ts);
-        }
-        self.commit_table.record_commit(req.start_ts, commit_ts);
-        self.active.remove(&req.start_ts);
-        self.window.push_back(WindowEntry {
+        self.entries.push_back(WindowEntry {
             commit_ts,
-            reads,
-            writes,
-            // T's own flags, persisted for future commits against it.
-            in_conflict: in_t,
-            out_conflict: out_t,
+            reads: req.read_rows.iter().copied().collect(),
+            writes: req.write_rows.iter().copied().collect(),
+            in_conflict: !partners.in_.is_empty(),
+            out_conflict: !partners.out.is_empty(),
         });
-        self.prune_window();
-        self.stats.commits += 1;
-        self.record(
-            req.start_ts,
-            EventData::Commit {
-                commit_ts: commit_ts.raw(),
-            },
-        );
-        Ok(CommitOutcome::Committed(commit_ts))
     }
 
-    /// Re-applies a committed transaction during WAL replay
-    /// (single-threaded recovery).
-    ///
-    /// The replayed transaction joins the `lastCommit` table and the commit
-    /// table but not the detection window: commit records carry no read
-    /// sets, and no transaction concurrent with a pre-crash commit can still
-    /// be in flight after the crash — in-flight state died with the process
-    /// — so the window entry could never fire.
-    pub fn replay_commit(&mut self, start_ts: Timestamp, commit_ts: Timestamp, rows: &[RowId]) {
-        self.ts.advance_to(commit_ts);
-        for &row in rows {
-            self.last_commit.record(row, commit_ts);
+    /// Drops entries no current or future transaction can conflict with:
+    /// every one of them starts at or above `watermark`, and an entry only
+    /// matters to transactions that started before it committed. Pruning
+    /// late is always safe (the check skips entries that committed before
+    /// the requester started).
+    pub fn prune_below(&mut self, watermark: Timestamp) {
+        while self
+            .entries
+            .front()
+            .is_some_and(|front| front.commit_ts < watermark)
+        {
+            self.entries.pop_front();
         }
-        self.commit_table.record_commit(start_ts, commit_ts);
+        self.partners = None;
     }
 
-    /// Re-applies an aborted transaction during WAL replay.
-    pub fn replay_abort(&mut self, start_ts: Timestamp) {
-        self.commit_table.record_abort(start_ts);
+    /// Committed transactions currently in the window (memory footprint:
+    /// SSI keeps whole read/write sets here, where SI/WSI keep one
+    /// timestamp per row).
+    pub fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Burns timestamps up to `bound` during recovery (reservation records
-    /// and overturned commits keep their timestamps unreusable).
-    pub fn advance_timestamps(&mut self, bound: Timestamp) {
-        self.ts.advance_to(bound);
-    }
-
-    /// A garbage-collection low-water mark: the smallest active start
-    /// timestamp, or one past the last issued timestamp when the oracle is
-    /// quiescent. No current or future snapshot can observe below it.
-    pub fn watermark(&self) -> Timestamp {
-        self.active
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.ts.last_issued().next())
-    }
-
-    /// Drops window entries no in-flight transaction can conflict with: a
-    /// committed transaction only matters while some active transaction
-    /// started before its commit.
-    fn prune_window(&mut self) {
-        let min_active = self
-            .active
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.ts.last_issued().next());
-        while let Some(front) = self.window.front() {
-            if front.commit_ts < min_active {
-                self.window.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Transaction status lookup.
-    pub fn status(&self, start_ts: Timestamp) -> TxnStatus {
-        self.commit_table.status(start_ts)
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> SsiStats {
-        self.stats
-    }
-
-    /// Committed transactions currently in the detection window (memory
-    /// footprint metric: SSI must keep whole read/write sets here, where
-    /// SI/WSI keep one timestamp per row).
-    pub fn window_len(&self) -> usize {
-        self.window.len()
+    /// Returns `true` when the window holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AbortReason, CommitRequest, IsolationLevel, RowId, StatusOracleCore, Timestamp};
 
     fn rows(ids: &[u64]) -> Vec<RowId> {
         ids.iter().map(|&i| RowId(i)).collect()
     }
 
+    fn ssi() -> StatusOracleCore {
+        StatusOracleCore::unbounded(IsolationLevel::SerializableSnapshot)
+    }
+
     #[test]
     fn write_skew_is_refused() {
         // History 2: both read {x, y}; t1 writes x, t2 writes y.
-        let mut o = SsiOracle::new();
+        let mut o = ssi();
         let t1 = o.begin();
         let t2 = o.begin();
         assert!(o
@@ -537,7 +242,7 @@ mod tests {
     fn history6_is_admitted_unlike_wsi() {
         // H6: t2 commits first writing x; t1 read x and writes y. WSI
         // aborts t1; SSI sees only an out-conflict on t1 — no danger.
-        let mut o = SsiOracle::new();
+        let mut o = ssi();
         let t1 = o.begin();
         let t2 = o.begin();
         assert!(o
@@ -551,7 +256,7 @@ mod tests {
 
     #[test]
     fn lost_update_is_refused_by_the_si_base() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi();
         let t1 = o.begin();
         let t2 = o.begin();
         assert!(o
@@ -562,20 +267,24 @@ mod tests {
             out.abort_reason(),
             Some(AbortReason::WriteWriteConflict { .. })
         ));
+        assert_eq!(o.stats().ww_aborts, 1);
     }
 
     #[test]
     fn read_only_commit_is_free_without_a_dangerous_partner() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi();
         let r = o.begin();
         let w = o.begin();
         assert!(o
             .commit(CommitRequest::new(w, vec![], rows(&[1])))
             .is_committed());
         // w has no out-conflict, so r's out-edge to it is harmless.
-        assert!(o
-            .commit(CommitRequest::new(r, rows(&[1]), vec![]))
-            .is_committed());
+        assert_eq!(
+            o.commit(CommitRequest::new(r, rows(&[1]), vec![]))
+                .commit_ts(),
+            Some(r),
+            "a read-only commit keeps its start timestamp"
+        );
         assert_eq!(o.stats().read_only_commits, 1);
     }
 
@@ -585,9 +294,8 @@ mod tests {
         // commits; read-only T3 then observes (x0, y1); T2 finally writes
         // x. Serial orders: T2 must precede T1 (T2 →rw T1), T3 must follow
         // T1 (wr) yet precede T2 (T3 →rw T2) — a cycle closed by T3.
-        let x = RowId(1);
-        let y = RowId(2);
-        let mut o = SsiOracle::new();
+        let (x, y) = (RowId(1), RowId(2));
+        let mut o = ssi();
         let t2 = o.begin();
         let t1 = o.begin();
         assert!(o
@@ -609,133 +317,38 @@ mod tests {
         // Same anomaly with the read-only transaction committing LAST: the
         // pivot (T2) is already committed and cannot be aborted, so the
         // read-only transaction must be.
-        let x = RowId(1);
-        let y = RowId(2);
-        let mut o = SsiOracle::new();
+        let (x, y) = (RowId(1), RowId(2));
+        let mut o = ssi();
         let t2 = o.begin();
         let t1 = o.begin();
         assert!(o
             .commit(CommitRequest::new(t1, vec![y], vec![y]))
             .is_committed());
         let t3 = o.begin();
-        assert!(o
+        let c2 = o
             .commit(CommitRequest::new(t2, vec![x, y], vec![x]))
-            .is_committed());
+            .commit_ts()
+            .expect("t2 commits");
         let out = o.commit(CommitRequest::new(t3, vec![x, y], vec![]));
-        assert!(
-            out.is_aborted(),
+        assert_eq!(
+            out.abort_reason(),
+            Some(AbortReason::Pivot {
+                in_commit_ts: Timestamp::ZERO,
+                out_commit_ts: c2,
+            }),
             "T3 →rw T2 would make committed T2 a pivot"
         );
         assert_eq!(o.stats().pivot_aborts, 1);
+        assert_eq!(o.stats().read_only_commits, 0);
     }
 
     #[test]
     fn three_txn_dangerous_structure_aborts_the_completing_txn() {
-        // V →rw U exists (U committed with in-conflict); then U →rw T would
-        // make U a pivot: T must abort instead (rule 2).
-        let mut o = SsiOracle::new();
-        let v = o.begin();
-        let u = o.begin();
-        let t = o.begin();
-        // U commits writing row 1, which V has read (V →rw U forms when V…
-        // actually V must commit for the window to know its reads; order:
-        // U commits first, then V commits reading 1 → V gets out-conflict,
-        // U gets in-conflict.
-        assert!(o
-            .commit(CommitRequest::new(u, rows(&[2]), rows(&[1])))
-            .is_committed());
-        assert!(o
-            .commit(CommitRequest::new(v, rows(&[1]), rows(&[9])))
-            .is_committed());
-        // Now T writes row 2, which U read: U →rw T would give U an
-        // out-conflict on top of its in-conflict → dangerous, T aborts.
-        let out = o.commit(CommitRequest::new(t, rows(&[8]), rows(&[2])));
-        assert!(out.is_aborted());
-        assert_eq!(o.stats().pivot_aborts, 1);
-    }
-
-    #[test]
-    fn false_positive_pivot_without_cycle() {
-        // T1 →rw T2 and T0 →rw T1 without any cycle: still aborted — the
-        // §7.1 "false positives" cost of the pattern check.
-        let mut o = SsiOracle::new();
-        let t0 = o.begin();
-        let t1 = o.begin();
-        let t2 = o.begin();
-        // T2 commits writing x (row 1), which T1 reads → T1 →rw T2.
-        assert!(o
-            .commit(CommitRequest::new(t2, vec![], rows(&[1])))
-            .is_committed());
-        // T0 commits reading y (row 2), which T1 will write → T0 →rw T1.
-        assert!(o
-            .commit(CommitRequest::new(t0, rows(&[2]), rows(&[7])))
-            .is_committed());
-        // T1: reads x (out-conflict to T2), writes y (in-conflict from T0):
-        // pivot — aborted, although the history is serializable
-        // (T0, T1, T2 in that serial order explains every read).
-        let out = o.commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])));
-        assert!(out.is_aborted());
-    }
-
-    #[test]
-    fn journal_attributes_pivot_edges_to_committed_partners() {
-        // The false-positive pivot schedule, with a journal attached: T1's
-        // abort must name T0 (in-edge) and T2 (out-edge) by commit
-        // timestamp, and `explain_abort` must resolve both back to the
-        // partners' transactions through their Commit events.
-        let mut o = SsiOracle::new();
-        o.attach_journal(Journal::new());
-        let t0 = o.begin();
-        let t1 = o.begin();
-        let t2 = o.begin();
-        let c2 = o
-            .commit(CommitRequest::new(t2, vec![], rows(&[1])))
-            .commit_ts()
-            .expect("t2 commits");
-        let c0 = o
-            .commit(CommitRequest::new(t0, rows(&[2]), rows(&[7])))
-            .commit_ts()
-            .expect("t0 commits");
-        assert!(o
-            .commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])))
-            .is_aborted());
-
-        let explanation = o
-            .journal()
-            .expect("journal attached")
-            .explain_abort(t1.raw())
-            .expect("abort recorded");
-        assert_eq!(explanation.victim, t1.raw());
-        assert_eq!(
-            explanation.cause,
-            Cause::Pivot {
-                in_commit_ts: c0.raw(),
-                out_commit_ts: c2.raw(),
-            }
-        );
-        let mut culprits = explanation.culprits.clone();
-        culprits.sort_unstable();
-        let mut expected = vec![t0.raw(), t2.raw()];
-        expected.sort_unstable();
-        assert_eq!(culprits, expected, "both edge partners attributed");
-        // The timeline is the causal join of victim and culprit streams:
-        // it must contain the partners' commits and the victim's abort.
-        assert!(explanation.timeline.iter().any(|e| e.data
-            == EventData::Commit {
-                commit_ts: c2.raw()
-            }));
-        assert!(explanation
-            .timeline
-            .iter()
-            .any(|e| matches!(e.data, EventData::Abort(_)) && e.txn == t1.raw()));
-    }
-
-    #[test]
-    fn journal_names_the_committed_pivot_on_rule_two_aborts() {
-        // Rule 2: committing T would make already-committed U a pivot; the
-        // abort's out-edge names U, and the absent in-edge is 0.
-        let mut o = SsiOracle::new();
-        o.attach_journal(Journal::new());
+        // U commits writing row 1, then V commits reading 1: V gets an
+        // out-conflict, U an in-conflict. T then writes row 2, which U
+        // read: U →rw T would give U an out-conflict on top of its
+        // in-conflict (rule 2), so T aborts and names U on the in-edge.
+        let mut o = ssi();
         let v = o.begin();
         let u = o.begin();
         let t = o.begin();
@@ -746,49 +359,92 @@ mod tests {
         assert!(o
             .commit(CommitRequest::new(v, rows(&[1]), rows(&[9])))
             .is_committed());
-        assert!(o
-            .commit(CommitRequest::new(t, rows(&[8]), rows(&[2])))
-            .is_aborted());
-        let explanation = o
-            .journal()
-            .expect("journal attached")
-            .explain_abort(t.raw())
-            .expect("abort recorded");
+        let out = o.commit(CommitRequest::new(t, rows(&[8]), rows(&[2])));
         assert_eq!(
-            explanation.cause,
-            Cause::Pivot {
-                in_commit_ts: cu.raw(),
-                out_commit_ts: 0,
-            }
+            out.abort_reason(),
+            Some(AbortReason::Pivot {
+                in_commit_ts: cu,
+                out_commit_ts: Timestamp::ZERO,
+            })
         );
-        assert_eq!(explanation.culprits, vec![u.raw()]);
+        assert_eq!(o.stats().pivot_aborts, 1);
     }
 
     #[test]
-    fn window_prunes_once_no_active_txn_overlaps() {
-        let mut o = SsiOracle::new();
+    fn false_positive_pivot_without_cycle_names_both_partners() {
+        // T1 →rw T2 and T0 →rw T1 without any cycle: still aborted — the
+        // §7.1 "false positives" cost of the pattern check. The reason
+        // names T0 (in-edge) and T2 (out-edge) by commit timestamp, which
+        // is what the journal's `explain_abort` joins on.
+        let mut o = ssi();
+        let t0 = o.begin();
+        let t1 = o.begin();
+        let t2 = o.begin();
+        // T2 commits writing x (row 1), which T1 reads → T1 →rw T2.
+        let c2 = o
+            .commit(CommitRequest::new(t2, vec![], rows(&[1])))
+            .commit_ts()
+            .expect("t2 commits");
+        // T0 commits reading y (row 2), which T1 will write → T0 →rw T1.
+        let c0 = o
+            .commit(CommitRequest::new(t0, rows(&[2]), rows(&[7])))
+            .commit_ts()
+            .expect("t0 commits");
+        // T1: reads x (out-conflict to T2), writes y (in-conflict from T0):
+        // pivot — aborted, although T0, T1, T2 is a valid serial order.
+        let reason = o
+            .commit(CommitRequest::new(t1, rows(&[1]), rows(&[2])))
+            .abort_reason()
+            .expect("t1 aborts");
+        assert_eq!(
+            reason,
+            AbortReason::Pivot {
+                in_commit_ts: c0,
+                out_commit_ts: c2,
+            }
+        );
+        assert_eq!(
+            reason.journal_cause(),
+            wsi_obs::Cause::Pivot {
+                in_commit_ts: c0.raw(),
+                out_commit_ts: c2.raw(),
+            }
+        );
+        assert_eq!(reason.conflict_ts(), None);
+    }
+
+    #[test]
+    fn window_prunes_below_the_embedders_watermark() {
+        let mut o = ssi();
         for i in 0..50 {
             let t = o.begin();
             assert!(o
                 .commit(CommitRequest::new(t, rows(&[i]), rows(&[i])))
                 .is_committed());
         }
-        // No active transactions: everything prunable.
-        assert_eq!(o.window_len(), 0);
+        assert_eq!(o.ssi_window_len(), 50, "the oracle never prunes by itself");
+        // No transaction in flight: everything is prunable.
+        o.prune_ssi_window(o.last_issued_ts().next());
+        assert_eq!(o.ssi_window_len(), 0);
         // With an old reader pinned, the window retains overlapping commits.
-        let _pin = o.begin();
+        let pin = o.begin();
         for i in 100..110 {
             let t = o.begin();
             assert!(o
                 .commit(CommitRequest::new(t, rows(&[i]), rows(&[i])))
                 .is_committed());
         }
-        assert_eq!(o.window_len(), 10);
+        o.prune_ssi_window(pin);
+        assert_eq!(o.ssi_window_len(), 10);
+        // Levels without a window ignore pruning.
+        let mut wsi = StatusOracleCore::unbounded(IsolationLevel::WriteSnapshot);
+        wsi.prune_ssi_window(Timestamp(99));
+        assert_eq!(wsi.ssi_window_len(), 0);
     }
 
     #[test]
     fn disjoint_transactions_all_commit() {
-        let mut o = SsiOracle::new();
+        let mut o = ssi();
         let txns: Vec<Timestamp> = (0..10).map(|_| o.begin()).collect();
         for (i, ts) in txns.into_iter().enumerate() {
             let i = i as u64;
@@ -797,5 +453,23 @@ mod tests {
                 .is_committed());
         }
         assert_eq!(o.stats().total_aborts(), 0);
+    }
+
+    #[test]
+    fn overturned_commit_keeps_its_window_entry() {
+        // A quorum-loss overturn leaves the entry and the flags it set: the
+        // phantom edge can only add aborts, never admit a dangerous
+        // structure.
+        let mut o = ssi();
+        let t1 = o.begin();
+        let t2 = o.begin();
+        let req = CommitRequest::new(t1, rows(&[1, 2]), rows(&[1]));
+        assert!(o.check(&req).is_ok());
+        let _decided = o.commit_unchecked(&req);
+        o.abort_after_decide(t1);
+        assert_eq!(o.ssi_window_len(), 1);
+        assert!(o
+            .commit(CommitRequest::new(t2, rows(&[1, 2]), rows(&[2])))
+            .is_aborted());
     }
 }

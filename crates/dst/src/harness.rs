@@ -32,13 +32,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
+use wsi_core::IsolationLevel;
 use wsi_history::{dsg, History, Op, TxnId};
 use wsi_sim::SimRng;
-use wsi_store::{Error, Event, ReclamationStats};
+use wsi_store::{Db, Error, Event, ReclamationStats, Transaction};
 use wsi_wal::{Ledger, LedgerConfig};
 
 use crate::clock::VirtualClock;
-use crate::engine::{Engine, EngineCounters, EngineKind, Txn};
+use crate::engine::{self, EngineCounters};
 use crate::oracle::{self, WalCensus};
 use crate::plan::{Fault, FaultPlan};
 
@@ -50,8 +51,8 @@ pub type Observed = BTreeMap<(TxnId, String), Option<TxnId>>;
 /// Everything a deterministic run needs to be reproduced.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Engine under test.
-    pub engine: EngineKind,
+    /// Isolation level of the `Db` under test.
+    pub level: IsolationLevel,
     /// Master seed; the run is a pure function of it (and this config).
     pub seed: u64,
     /// Scheduler steps (one client operation each, after faults).
@@ -72,9 +73,9 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// A default run: 400 steps, 6 clients, 8 keys, no faults.
-    pub fn new(engine: EngineKind, seed: u64) -> Self {
+    pub fn new(level: IsolationLevel, seed: u64) -> Self {
         RunConfig {
-            engine,
+            level,
             seed,
             steps: 400,
             clients: 6,
@@ -127,10 +128,10 @@ impl RunConfig {
     /// The copy-pasteable command that replays exactly this run.
     pub fn repro(&self) -> String {
         format!(
-            "DST_SEED=0x{:016x} DST_ENGINE={} DST_PLAN={} DST_STEPS={} \
+            "DST_SEED=0x{:016x} DST_LEVEL={} DST_PLAN={} DST_STEPS={} \
              cargo test -p wsi-dst --test matrix -- replay_seed_from_env --exact --nocapture",
             self.seed,
-            self.engine.label(),
+            self.level.short_name(),
             self.plan_name,
             self.steps,
         )
@@ -142,8 +143,8 @@ impl RunConfig {
 pub struct RunReport {
     /// The seed that produced this report.
     pub seed: u64,
-    /// Engine exercised.
-    pub engine: EngineKind,
+    /// Isolation level exercised.
+    pub level: IsolationLevel,
     /// The recorded history, in Berenson et al. notation.
     pub history: History,
     /// Observed reads-from relation (see [`Observed`]).
@@ -199,7 +200,7 @@ pub fn run(config: &RunConfig) -> RunReport {
 
 struct ActiveTxn {
     id: TxnId,
-    txn: Txn,
+    txn: Transaction,
     ops_done: u64,
     ops_target: u64,
 }
@@ -212,7 +213,7 @@ struct Sim<'a> {
     /// Workload stream: keys, op kinds, transaction lengths, rollbacks.
     work: SimRng,
     clock: VirtualClock,
-    engine: Engine,
+    engine: Db,
     ops: Vec<Op>,
     observed: Observed,
     clients: Vec<Option<ActiveTxn>>,
@@ -227,8 +228,8 @@ struct Sim<'a> {
 }
 
 fn execute(config: &RunConfig) -> RunReport {
-    let engine = Engine::open(config.engine);
-    let base_counters = engine.counters();
+    let engine = engine::open(config.level);
+    let base_counters = EngineCounters::of(&engine);
     let rng = SimRng::new(config.seed);
     let mut sim = Sim {
         config,
@@ -354,11 +355,11 @@ impl Sim<'_> {
     fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::FailBookie(idx) => {
-                self.engine.fail_bookie(idx);
+                self.engine.fail_wal_bookie(idx);
                 self.failed_bookies.insert(idx);
             }
             Fault::RecoverBookie(idx) => {
-                self.engine.recover_bookie(idx);
+                self.engine.recover_wal_bookie(idx);
                 self.failed_bookies.remove(&idx);
                 self.retry_limbo_flush();
             }
@@ -398,7 +399,7 @@ impl Sim<'_> {
             }
         }
 
-        let wal = self.engine.wal_snapshot().expect("engines run durable");
+        let wal = self.engine.wal_snapshot().expect("the engine runs durable");
         let payloads = wal.recover();
         let records = oracle::decode_all(&payloads, &self.repro);
         let (census, sets) = oracle::census(&records);
@@ -423,11 +424,11 @@ impl Sim<'_> {
         fresh
             .flush(self.clock.now_us())
             .expect("replacement ensemble is healthy");
-        self.engine = Engine::recover(self.config.engine, fresh)
+        self.engine = engine::recover(self.config.level, fresh)
             .unwrap_or_else(|e| panic!("recovery failed: {e}\n  reproduce: {}", self.repro));
         self.failed_bookies.clear();
         self.incarnations += 1;
-        self.base_counters = self.engine.counters();
+        self.base_counters = EngineCounters::of(&self.engine);
         self.base_census = census;
     }
 
@@ -452,7 +453,7 @@ impl Sim<'_> {
             }
         }
         for idx in std::mem::take(&mut self.failed_bookies) {
-            self.engine.recover_bookie(idx);
+            self.engine.recover_wal_bookie(idx);
         }
         self.engine
             .flush_wal()
@@ -464,11 +465,11 @@ impl Sim<'_> {
 
     fn finish_report(self) -> RunReport {
         self.check_reclamation("at end of run");
-        let final_counters = self.engine.counters();
+        let final_counters = EngineCounters::of(&self.engine);
         let payloads = self
             .engine
             .wal_snapshot()
-            .expect("engines run durable")
+            .expect("the engine runs durable")
             .recover();
         let (census, _) = oracle::census(&oracle::decode_all(&payloads, &self.repro));
         let (journal, journal_dropped) = match self.engine.journal() {
@@ -478,7 +479,7 @@ impl Sim<'_> {
         let history = History::new(self.ops);
         RunReport {
             seed: self.config.seed,
-            engine: self.config.engine,
+            level: self.config.level,
             serializable: dsg::is_serializable(&history),
             history,
             observed: self.observed,
@@ -499,13 +500,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_run_per_engine() {
-        for kind in EngineKind::ALL {
-            let report = run(&RunConfig::new(kind, 0x5EED).steps(120));
-            assert!(report.delta.begins > 0, "{}", kind.label());
-            assert!(report.delta.commits > 0, "{}", kind.label());
+    fn smoke_run_per_level() {
+        for level in IsolationLevel::ALL {
+            let report = run(&RunConfig::new(level, 0x5EED).steps(120));
+            assert!(report.delta.begins > 0, "{level}");
+            assert!(report.delta.commits > 0, "{level}");
             assert_eq!(report.incarnations, 1);
-            if kind.claims_serializability() {
+            if level.is_serializable() {
                 assert!(report.serializable);
             }
         }
@@ -513,10 +514,11 @@ mod tests {
 
     #[test]
     fn repro_command_round_trips_through_the_env_names() {
-        let config = RunConfig::new(EngineKind::Ssi, 0xBEEF).plan("crash", FaultPlan::crash(400));
+        let config = RunConfig::new(IsolationLevel::SerializableSnapshot, 0xBEEF)
+            .plan("crash", FaultPlan::crash(400));
         let repro = config.repro();
         assert!(repro.contains("DST_SEED=0x000000000000beef"));
-        assert!(repro.contains("DST_ENGINE=ssi"));
+        assert!(repro.contains("DST_LEVEL=ssi"));
         assert!(repro.contains("DST_PLAN=crash"));
         assert!(repro.contains("DST_STEPS=400"));
     }

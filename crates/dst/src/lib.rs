@@ -14,20 +14,23 @@
 //! * a [`FaultPlan`] injects WAL bookie failures and recoveries, mid-run
 //!   crash-and-recover cycles (drop the engine, replay the surviving log),
 //!   and forced GC/epoch-reclamation sweeps at chosen steps;
-//! * every run is checked by two oracles: the [`wsi_history::dsg`]
-//!   serialization-graph checker (SI is allowed its write skew; WSI and SSI
-//!   must stay acyclic) and a reconciliation pass proving the engine's
-//!   counters, the decoded WAL, and the client-observed history all tell
-//!   the same story.
+//! * every run drives one durable [`wsi_store::Db`] at one of the three
+//!   isolation levels (SI, WSI, SSI) and is checked by the oracles: snapshot
+//!   visibility, the [`wsi_history::dsg`] serialization-graph checker (SI
+//!   is allowed its write skew; WSI and SSI must stay acyclic),
+//!   first-committer-wins (SI and SSI), and a reconciliation pass proving
+//!   the engine's counters, the decoded WAL, and the client-observed
+//!   history all tell the same story.
 //!
 //! On any violation the harness panics with the seed and a copy-pasteable
 //! repro command; re-running the seed replays the identical history,
 //! byte for byte (see `tests/determinism.rs`).
 //!
 //! ```
-//! use wsi_dst::{run, EngineKind, FaultPlan, RunConfig};
+//! use wsi_core::IsolationLevel;
+//! use wsi_dst::{run, FaultPlan, RunConfig};
 //!
-//! let config = RunConfig::new(EngineKind::Wsi, 0xDECADE)
+//! let config = RunConfig::new(IsolationLevel::WriteSnapshot, 0xDECADE)
 //!     .steps(200)
 //!     .plan("quorum-loss", FaultPlan::quorum_loss(200));
 //! let report = run(&config);
@@ -45,6 +48,6 @@ pub mod oracle;
 pub mod plan;
 
 pub use clock::VirtualClock;
-pub use engine::{EngineCounters, EngineKind};
+pub use engine::EngineCounters;
 pub use harness::{run, RunConfig, RunReport};
 pub use plan::{Fault, FaultPlan};

@@ -1,27 +1,36 @@
-//! The run oracles: visibility, serializability, and reconciliation.
+//! The run oracles: visibility, serializability, first-committer-wins,
+//! and reconciliation.
 //!
 //! A deterministic run produces three independent accounts of what
 //! happened — the clients' observed history, the engine's counters, and
-//! the decoded write-ahead log. This module cross-checks them:
+//! the decoded write-ahead log. This module cross-checks them. The first
+//! three checks are the invariants of the TLA+ SSI specification in
+//! SNIPPETS.md §1, evaluated on the recorded history: `SnapshotRead` and
+//! `Serializable` are the existing visibility and DSG checks, which also
+//! run at the SSI level, and `FirstCommitterWins` is check 3:
 //!
-//! 1. **Visibility**: every committed transaction's first read of each
-//!    item must observe exactly the writer that snapshot semantics
-//!    prescribe ([`dsg::reads_from`]). Values encode their writer's
-//!    transaction id, so the observed writer is recoverable from the bytes
-//!    the client actually saw. This is the oracle the planted-bug test
-//!    trips.
-//! 2. **Serializability**: the DSG of the history must be acyclic for WSI
-//!    and SSI (Theorem 1 and the dangerous-structure rule respectively).
-//!    SI makes no such claim — its verdict is recorded, not asserted, and
-//!    the test suite separately demonstrates that the corpus does catch SI
-//!    admitting write skew.
-//! 3. **Reconciliation**: begins equal commits plus aborts; WAL commit and
-//!    abort records match the oracle's decisions, *including* the
-//!    quorum-loss asymmetry (`Db` counts an overturned commit as a commit
-//!    with a compensating abort record; `SsiDb` books it as a
-//!    `wal_aborts`); the history's acknowledged write commits equal the
-//!    log's effective (non-overturned) commit records; and the arena's
-//!    epoch accounting stays exact (`retired == freed + limbo`).
+//! 1. **Visibility** (`SnapshotRead`): every committed transaction's first
+//!    read of each item must observe exactly the writer that snapshot
+//!    semantics prescribe ([`dsg::reads_from`]). Values encode their
+//!    writer's transaction id, so the observed writer is recoverable from
+//!    the bytes the client actually saw. This is the oracle the
+//!    planted-bug test trips. Checked at every level.
+//! 2. **Serializability** (`Serializable`): the DSG of the history must be
+//!    acyclic for WSI and SSI (Theorem 1 and the dangerous-structure rule
+//!    respectively). SI makes no such claim — its verdict is recorded, not
+//!    asserted, and the test suite separately demonstrates that the corpus
+//!    does catch SI admitting write skew.
+//! 3. **First committer wins** (`FirstCommitterWins`): no two committed
+//!    transactions with overlapping `[start, commit]` intervals both wrote
+//!    the same item. Checked at SI and SSI, which keep SI's write-write
+//!    rule; WSI deliberately admits such pairs (the paper's History 4).
+//! 4. **Reconciliation**: begins equal commits plus aborts; WAL commit and
+//!    abort records match the oracle's decisions, with a quorum-loss
+//!    overturn counted as a commit plus a compensating abort record; the
+//!    history's acknowledged write commits equal the log's effective
+//!    (non-overturned) commit records; and the arena's epoch accounting
+//!    stays exact (`retired == freed + limbo`). One set of identities
+//!    holds at every level: SI, WSI, and SSI share one engine.
 //!
 //! Every violation panics with the failing identity and the run's
 //! copy-pasteable repro command.
@@ -29,10 +38,10 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use wsi_history::dsg;
+use wsi_core::IsolationLevel;
+use wsi_history::{dsg, History};
 use wsi_store::{decode_record, StoreRecord};
 
-use crate::engine::EngineKind;
 use crate::harness::{RunConfig, RunReport};
 
 /// Counts of decoded WAL records (timestamp reservations are ignored).
@@ -110,6 +119,34 @@ pub(crate) fn census(records: &[StoreRecord]) -> (WalCensus, RecordSets) {
     )
 }
 
+/// The first pair of committed transactions that breaks first-committer-wins:
+/// their `[start, commit]` history intervals overlap and both wrote one
+/// item. A transaction starts at its first operation (the harness begins
+/// and performs it in one step) and commits at its `c`.
+pub fn first_committer_wins_violation(history: &History) -> Option<String> {
+    let writers: Vec<_> = history
+        .committed()
+        .into_iter()
+        .filter_map(|t| {
+            let writes = history.write_set(t);
+            let span = (history.start_pos(t)?, history.commit_pos(t)?);
+            (!writes.is_empty()).then_some((t, span, writes))
+        })
+        .collect();
+    for (i, (a, (a_start, a_commit), a_writes)) in writers.iter().enumerate() {
+        for (b, (b_start, b_commit), b_writes) in &writers[i + 1..] {
+            if a_start < b_commit && b_start < a_commit {
+                if let Some(item) = a_writes.iter().find(|item| b_writes.contains(item)) {
+                    return Some(format!(
+                        "{a} and {b} overlap and both committed a write of {item}"
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
 fn check_eq(got: u64, want: u64, what: &str, repro: &str) {
     if got != want {
         panic!("reconciliation violation: {what}: {got} != {want}\n  reproduce: {repro}");
@@ -161,83 +198,53 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
         }
     }
 
-    // 2. Serializability, where the engine claims it.
-    if config.engine.claims_serializability() && !report.serializable {
+    // 2. Serializability, where the level claims it.
+    if config.level.is_serializable() && !report.serializable {
         let cycle = dsg::explain_cycle(&report.history)
             .unwrap_or_else(|| "cycle detection disagrees with explanation".to_string());
         panic!(
             "serializability violation under {}: {cycle}\n  reproduce: {repro}",
-            config.engine.label(),
+            config.level.short_name(),
         );
     }
 
-    // 3. Counters vs WAL, over the final engine incarnation.
-    let d = &report.delta;
-    let w = &report.delta_census;
-    match config.engine {
-        EngineKind::Si | EngineKind::Wsi => {
-            // Db decides the commit before the flush; an overturn is a
-            // third fate, reported in neither `commits` (net of overturns)
-            // nor any abort counter. The WAL pairing count supplies it:
-            // each overturn is one commit record plus one compensating
-            // abort record.
-            check_eq(
-                d.begins,
-                d.commits + d.read_only_commits + d.total_aborts + w.overturned,
-                "begins == commits + read-only commits + aborts + overturned",
-                &repro,
-            );
-            check_eq(
-                w.commits,
-                d.commits + w.overturned,
-                "WAL commit records == decided commits",
-                &repro,
-            );
-            check_eq(
-                w.aborts,
-                (d.total_aborts - d.client_aborts) + w.overturned,
-                "WAL abort records == decided aborts + overturned commits",
-                &repro,
-            );
-            check_eq(
-                d.wal_overturned,
-                0,
-                "Db does not count overturns as aborts",
-                &repro,
-            );
-        }
-        EngineKind::Ssi => {
-            check_eq(
-                d.begins,
-                d.commits + d.read_only_commits + d.total_aborts,
-                "begins == commits + read-only commits + aborts",
-                &repro,
-            );
-            // SsiDb decides durability inside the oracle: an overturned
-            // commit is a `wal_aborts`, never a commit — but its commit
-            // record still reached the log before the flush failed.
-            check_eq(
-                w.commits,
-                d.commits + w.overturned,
-                "WAL commit records == oracle commits + overturned",
-                &repro,
-            );
-            check_eq(
-                w.aborts,
-                d.total_aborts - d.client_aborts,
-                "WAL abort records == decided aborts",
-                &repro,
-            );
-            check_eq(
-                d.wal_overturned,
-                w.overturned,
-                "oracle wal_aborts == overturned WAL records",
-                &repro,
+    // 3. First committer wins, where the level keeps SI's write-write rule.
+    if config.level != IsolationLevel::WriteSnapshot {
+        if let Some(pair) = first_committer_wins_violation(&report.history) {
+            panic!(
+                "first-committer-wins violation under {}: {pair}\n  reproduce: {repro}",
+                config.level.short_name(),
             );
         }
     }
 
-    // 4. History vs the whole log: what clients were told matches what the
+    // 4. Counters vs WAL, over the final engine incarnation. `Db` decides
+    // the commit before the flush; an overturn is a third fate, reported in
+    // neither `commits` (net of overturns) nor any abort counter. The WAL
+    // pairing count supplies it: each overturn is one commit record plus
+    // one compensating abort record.
+    let d = &report.delta;
+    let w = &report.delta_census;
+    check_eq(
+        d.begins,
+        d.commits + d.read_only_commits + d.total_aborts + w.overturned,
+        "begins == commits + read-only commits + aborts + overturned",
+        &repro,
+    );
+    check_eq(
+        w.commits,
+        d.commits + w.overturned,
+        "WAL commit records == decided commits",
+        &repro,
+    );
+    check_eq(
+        w.aborts,
+        (d.total_aborts - d.client_aborts) + w.overturned,
+        "WAL abort records == decided aborts + overturned commits",
+        &repro,
+    );
+
+    // 5. History vs the whole log: what clients were told matches what the
     // log effectively holds, across every incarnation. Read-only commits
     // never touch the WAL; resurrected commits (acknowledged only by the
     // crash resolution) have effective records by construction.
@@ -254,7 +261,7 @@ pub fn verify(report: &RunReport, config: &RunConfig) {
         &repro,
     );
 
-    // 5. Epoch reclamation stays exact at the quiescent end of the run.
+    // 6. Epoch reclamation stays exact at the quiescent end of the run.
     let rec = &report.reclamation;
     check_eq(
         rec.retired,
@@ -311,6 +318,25 @@ mod tests {
         let decoded = decode_all(&payloads, "n/a");
         assert_eq!(decoded.len(), 1);
         assert!(matches!(decoded[0], StoreRecord::Abort { start_ts } if start_ts == Timestamp(7)));
+    }
+
+    #[test]
+    fn first_committer_wins_flags_overlapping_writers_only() {
+        // History 4: both write x with overlapping lifetimes — WSI admits
+        // it, and the invariant names the pair.
+        let h4: History = "r1[x] w2[x] w1[x] c1 c2".parse().unwrap();
+        let violation = first_committer_wins_violation(&h4).expect("overlapping writers");
+        assert!(violation.contains('x'), "{violation}");
+        // Serial writers of the same item, an aborted overlapping writer,
+        // and overlapping writers of different items are all fine.
+        for ok in [
+            "w1[x] c1 w2[x] c2",
+            "w1[x] w2[x] a2 c1",
+            "w1[x] w2[y] c1 c2",
+        ] {
+            let h: History = ok.parse().unwrap();
+            assert_eq!(first_committer_wins_violation(&h), None, "{ok}");
+        }
     }
 
     #[test]

@@ -1,25 +1,27 @@
 //! Same seed ⇒ same history, byte for byte.
 //!
 //! The regression guard for every nondeterminism fix behind the harness:
-//! ordered (`BTreeMap`/`BTreeSet`) read and write sets on the commit path,
-//! seeded retry backoff instead of wall-clock entropy, the logical append
-//! clock in `SsiDb`, and the forked [`wsi_sim::SimRng`] streams in the
-//! scheduler itself. If any engine path consulted iteration order of a
-//! hash map, wall-clock time, or OS randomness, the replayed history would
-//! eventually diverge from the first run.
+//! ordered (`BTreeMap`/`BTreeSet`) read and write sets on the commit path
+//! and in the SSI window, seeded retry backoff instead of wall-clock
+//! entropy, and the forked [`wsi_sim::SimRng`] streams in the scheduler
+//! itself. If any path of the one `Db` engine, at any of its three
+//! isolation levels, consulted iteration order of a hash map, wall-clock
+//! time, or OS randomness, the replayed history would eventually diverge
+//! from the first run.
 
-use wsi_dst::{run, EngineKind, FaultPlan, RunConfig, RunReport};
+use wsi_core::IsolationLevel;
+use wsi_dst::{run, FaultPlan, RunConfig, RunReport};
 use wsi_store::{Event, EventData};
 
 const STEPS: u64 = 400;
 
 #[test]
 fn same_seed_replays_the_identical_history() {
-    for kind in EngineKind::ALL {
+    for level in IsolationLevel::ALL {
         for plan_name in ["none", "quorum-loss", "everything"] {
             for seed in [3u64, 0xFEED_FACE] {
                 let config = || {
-                    RunConfig::new(kind, seed).steps(STEPS).plan(
+                    RunConfig::new(level, seed).steps(STEPS).plan(
                         plan_name,
                         FaultPlan::by_name(plan_name, STEPS).expect("preset"),
                     )
@@ -30,7 +32,7 @@ fn same_seed_replays_the_identical_history() {
                     first.history.to_string(),
                     second.history.to_string(),
                     "history diverged: {} / {} / seed {seed:#x}",
-                    kind.label(),
+                    level.short_name(),
                     plan_name,
                 );
                 assert_eq!(first.observed, second.observed, "observed values diverged");
@@ -52,10 +54,10 @@ fn same_seed_replays_the_identical_history() {
 #[test]
 fn same_seed_replays_the_identical_journal() {
     let keys = |r: &RunReport| r.journal.iter().map(Event::replay_key).collect::<Vec<_>>();
-    for kind in EngineKind::ALL {
+    for level in IsolationLevel::ALL {
         for plan_name in ["none", "quorum-loss", "everything"] {
             let config = || {
-                RunConfig::new(kind, 0x70AD).steps(STEPS).plan(
+                RunConfig::new(level, 0x70AD).steps(STEPS).plan(
                     plan_name,
                     FaultPlan::by_name(plan_name, STEPS).expect("preset"),
                 )
@@ -65,13 +67,13 @@ fn same_seed_replays_the_identical_journal() {
             assert!(
                 !first.journal.is_empty(),
                 "journal always on: {} / {plan_name}",
-                kind.label(),
+                level.short_name(),
             );
             assert_eq!(
                 first.journal_dropped,
                 0,
                 "default run scale fits the ring: {} / {plan_name}",
-                kind.label(),
+                level.short_name(),
             );
             // The journal covers the whole lifecycle, not just commits.
             assert!(first
@@ -86,7 +88,7 @@ fn same_seed_replays_the_identical_journal() {
                 keys(&first),
                 keys(&second),
                 "journal diverged: {} / {plan_name}",
-                kind.label(),
+                level.short_name(),
             );
         }
     }
@@ -97,7 +99,7 @@ fn same_seed_replays_the_identical_journal() {
 /// randomness and the matrix sweeps one schedule fifteen times.)
 #[test]
 fn different_seeds_diverge() {
-    let config = |seed| RunConfig::new(EngineKind::Wsi, seed).steps(STEPS);
+    let config = |seed| RunConfig::new(IsolationLevel::WriteSnapshot, seed).steps(STEPS);
     let a = run(&config(1));
     let b = run(&config(2));
     assert_ne!(a.history.to_string(), b.history.to_string());
@@ -108,8 +110,8 @@ fn different_seeds_diverge() {
 /// conflict decisions, so any decision-order nondeterminism shows up.
 #[test]
 fn contended_runs_replay_exactly() {
-    for kind in EngineKind::ALL {
-        let config = || RunConfig::new(kind, 0xAB07).steps(300).keys(2).clients(8);
+    for level in IsolationLevel::ALL {
+        let config = || RunConfig::new(level, 0xAB07).steps(300).keys(2).clients(8);
         let first = run(&config());
         let second = run(&config());
         assert_eq!(first.history.to_string(), second.history.to_string());

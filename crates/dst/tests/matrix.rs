@@ -1,20 +1,23 @@
-//! The fault matrix: every engine × every fault plan × several seeds.
+//! The fault matrix: every isolation level × every fault plan × several
+//! seeds, all on one durable `Db`.
 //!
 //! Each cell is a full deterministic run with both oracles armed
 //! (visibility + serializability, counter/WAL/history reconciliation);
 //! a panic here prints the seed and a copy-pasteable repro command.
 //! `replay_seed_from_env` is the receiving end of that command.
 
-use wsi_dst::{run, EngineKind, FaultPlan, RunConfig};
+use wsi_core::IsolationLevel;
+use wsi_dst::oracle::first_committer_wins_violation;
+use wsi_dst::{run, FaultPlan, RunConfig};
 
 const STEPS: u64 = 400;
 const SEEDS: [u64; 3] = [0x0001, 0xC0FFEE, 0xDEAD_BEEF_0BAD_F00D];
 
-fn matrix_for(kind: EngineKind) {
+fn matrix_for(level: IsolationLevel) {
     for plan_name in FaultPlan::PRESETS {
         let plan = FaultPlan::by_name(plan_name, STEPS).expect("preset");
         for seed in SEEDS {
-            let config = RunConfig::new(kind, seed)
+            let config = RunConfig::new(level, seed)
                 .steps(STEPS)
                 .plan(plan_name, plan.clone());
             let report = run(&config);
@@ -29,17 +32,17 @@ fn matrix_for(kind: EngineKind) {
 
 #[test]
 fn fault_matrix_si() {
-    matrix_for(EngineKind::Si);
+    matrix_for(IsolationLevel::Snapshot);
 }
 
 #[test]
 fn fault_matrix_wsi() {
-    matrix_for(EngineKind::Wsi);
+    matrix_for(IsolationLevel::WriteSnapshot);
 }
 
 #[test]
 fn fault_matrix_ssi() {
-    matrix_for(EngineKind::Ssi);
+    matrix_for(IsolationLevel::SerializableSnapshot);
 }
 
 /// The reclamation-storm preset must exercise the packed-node lifecycle
@@ -53,7 +56,7 @@ fn reclamation_storm_exercises_packed_node_retirement() {
     let mut migrations = 0u64;
     let mut packed_retired = 0u64;
     for seed in SEEDS {
-        let config = RunConfig::new(EngineKind::Wsi, seed)
+        let config = RunConfig::new(IsolationLevel::WriteSnapshot, seed)
             .steps(STEPS)
             .keys(2)
             .clients(8)
@@ -81,10 +84,12 @@ fn reclamation_storm_exercises_packed_node_retirement() {
 fn crash_during_quorum_loss_resurrects_commits() {
     let mut resurrected_somewhere = 0u64;
     for seed in SEEDS {
-        let config = RunConfig::new(EngineKind::Wsi, seed).steps(STEPS).plan(
-            "crash-during-quorum-loss",
-            FaultPlan::crash_during_quorum_loss(STEPS),
-        );
+        let config = RunConfig::new(IsolationLevel::WriteSnapshot, seed)
+            .steps(STEPS)
+            .plan(
+                "crash-during-quorum-loss",
+                FaultPlan::crash_during_quorum_loss(STEPS),
+            );
         let report = run(&config);
         assert_eq!(report.incarnations, 2);
         resurrected_somewhere += report.resurrected;
@@ -103,7 +108,7 @@ fn crash_during_quorum_loss_resurrects_commits() {
 fn si_corpus_exhibits_nonserializable_histories() {
     let mut cycles = 0u32;
     for seed in 0..16u64 {
-        let config = RunConfig::new(EngineKind::Si, 0x51_0000 + seed)
+        let config = RunConfig::new(IsolationLevel::Snapshot, 0x51_0000 + seed)
             .steps(200)
             .keys(2)
             .clients(8);
@@ -118,8 +123,31 @@ fn si_corpus_exhibits_nonserializable_histories() {
     );
 }
 
+/// The first-committer-wins oracle's control: WSI replaces SI's
+/// write-write rule, so over a contended corpus it must commit overlapping
+/// writers of one item (History 4) — pairs the same check would reject at
+/// SI and SSI, where it runs inside `run`.
+#[test]
+fn wsi_corpus_exhibits_overlapping_committed_writers() {
+    let mut overlaps = 0u32;
+    for seed in 0..16u64 {
+        let config = RunConfig::new(IsolationLevel::WriteSnapshot, 0xF0C_0000 + seed)
+            .steps(200)
+            .keys(2)
+            .clients(8);
+        let report = run(&config);
+        if first_committer_wins_violation(&report.history).is_some() {
+            overlaps += 1;
+        }
+    }
+    assert!(
+        overlaps > 0,
+        "write-snapshot isolation should commit overlapping writers somewhere in 16 contended runs"
+    );
+}
+
 /// Receiving end of the repro command printed on any oracle failure:
-/// `DST_SEED=… DST_ENGINE=… DST_PLAN=… DST_STEPS=… cargo test -p wsi-dst
+/// `DST_SEED=… DST_LEVEL=… DST_PLAN=… DST_STEPS=… cargo test -p wsi-dst
 /// --test matrix -- replay_seed_from_env --exact --nocapture`.
 /// A no-op when the environment is unset.
 #[test]
@@ -131,10 +159,10 @@ fn replay_seed_from_env() {
     let seed = u64::from_str_radix(seed, 16)
         .or_else(|_| seed.parse::<u64>())
         .expect("DST_SEED must be hex (0x…) or decimal");
-    let engine = std::env::var("DST_ENGINE")
+    let level = std::env::var("DST_LEVEL")
         .ok()
-        .and_then(|l| EngineKind::from_label(&l))
-        .expect("DST_ENGINE must be si|wsi|ssi");
+        .and_then(|l| IsolationLevel::from_short_name(&l))
+        .expect("DST_LEVEL must be si|wsi|ssi");
     let steps: u64 = std::env::var("DST_STEPS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -142,14 +170,14 @@ fn replay_seed_from_env() {
     let plan_name = std::env::var("DST_PLAN").unwrap_or_else(|_| "none".to_string());
     let plan = FaultPlan::by_name(&plan_name, steps)
         .unwrap_or_else(|| panic!("unknown DST_PLAN {plan_name:?} (see FaultPlan::PRESETS)"));
-    let config = RunConfig::new(engine, seed)
+    let config = RunConfig::new(level, seed)
         .steps(steps)
         .plan(&plan_name, plan);
     let report = run(&config);
     println!(
         "replayed seed 0x{seed:016x} on {}: {} ops, serializable={}, incarnations={}, \
          resurrected={}",
-        engine.label(),
+        level.short_name(),
         report.history.ops().len(),
         report.serializable,
         report.incarnations,

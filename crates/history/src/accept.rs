@@ -7,6 +7,11 @@
 //! operations, and submits a commit request at its `c` operation. The
 //! history is *accepted* by an isolation level iff every transaction the
 //! history commits is committed by the oracle.
+//!
+//! Serializable snapshot isolation replays through the same oracle at
+//! [`IsolationLevel::SerializableSnapshot`]; together with [`crate::dsg`]
+//! this makes the paper's §7.1 comparison mechanically checkable: WSI and
+//! SSI each admit histories the other refuses (History 4 vs History 6).
 
 use std::collections::BTreeMap;
 
@@ -127,6 +132,12 @@ pub fn replay(history: &History, level: IsolationLevel) -> Replay {
 /// let h4: History = "r1[x] w2[x] w1[x] c1 c2".parse().unwrap();
 /// assert!(!accept::accepts(&h4, IsolationLevel::Snapshot));
 /// assert!(accept::accepts(&h4, IsolationLevel::WriteSnapshot));
+///
+/// // History 6: WSI refuses (an unnecessary rw-conflict abort), SSI admits —
+/// // a single rw-antidependency is not a dangerous structure.
+/// let h6 = wsi_history::examples::h6();
+/// assert!(!accept::accepts(&h6, IsolationLevel::WriteSnapshot));
+/// assert!(accept::accepts(&h6, IsolationLevel::SerializableSnapshot));
 /// ```
 pub fn accepts(history: &History, level: IsolationLevel) -> bool {
     replay(history, level).accepted(history)
@@ -136,6 +147,8 @@ pub fn accepts(history: &History, level: IsolationLevel) -> bool {
 mod tests {
     use super::*;
     use crate::examples;
+
+    const SSI: IsolationLevel = IsolationLevel::SerializableSnapshot;
 
     #[test]
     fn h1_si_yes_wsi_no() {
@@ -149,6 +162,7 @@ mod tests {
         let h = examples::h2();
         assert!(accepts(&h, IsolationLevel::Snapshot));
         assert!(!accepts(&h, IsolationLevel::WriteSnapshot));
+        assert!(!accepts(&h, SSI), "write skew is a dangerous structure");
     }
 
     #[test]
@@ -163,6 +177,10 @@ mod tests {
         let h = examples::h4();
         assert!(!accepts(&h, IsolationLevel::Snapshot));
         assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        // H4's writers race on x; t1 commits first, so t2's commit hits the
+        // first-committer-wins WW check — SSI keeps SI's rule where WSI
+        // replaces it (§4.3).
+        assert!(!accepts(&h, SSI));
     }
 
     #[test]
@@ -170,15 +188,18 @@ mod tests {
         let h = examples::h5();
         assert!(accepts(&h, IsolationLevel::Snapshot));
         assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        assert!(accepts(&h, SSI));
     }
 
     #[test]
     fn h6_serializable_but_wsi_rejects() {
         // §4.3: read-write conflict avoidance is not *necessary* — H6 is
-        // serializable yet WSI (unnecessarily) prevents it; SI allows it.
+        // serializable yet WSI (unnecessarily) prevents it; SI allows it,
+        // and so does SSI: a single out-edge is not a dangerous structure.
         let h = examples::h6();
         assert!(accepts(&h, IsolationLevel::Snapshot));
         assert!(!accepts(&h, IsolationLevel::WriteSnapshot));
+        assert!(accepts(&h, SSI));
     }
 
     #[test]
@@ -186,13 +207,27 @@ mod tests {
         let h = examples::h7();
         assert!(accepts(&h, IsolationLevel::Snapshot));
         assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        assert!(accepts(&h, SSI));
     }
 
     #[test]
     fn explicit_abort_is_not_an_acceptance_failure() {
         let h: History = "r1[x] w1[x] a1 r2[x] w2[x] c2".parse().unwrap();
-        assert!(accepts(&h, IsolationLevel::Snapshot));
-        assert!(accepts(&h, IsolationLevel::WriteSnapshot));
+        for level in IsolationLevel::ALL {
+            assert!(accepts(&h, level), "{level}");
+        }
+    }
+
+    #[test]
+    fn ssi_filtered_histories_are_serializable() {
+        use crate::gen::{filter_accepted, generate, GenConfig};
+        for seed in 0..200 {
+            let executed = filter_accepted(&generate(GenConfig::default(), seed), SSI);
+            assert!(
+                crate::dsg::is_serializable(&executed),
+                "seed {seed}: {executed}"
+            );
+        }
     }
 
     #[test]

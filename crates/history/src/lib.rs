@@ -10,8 +10,9 @@
 //! * [`History`] — the notation, with a parser (`"r1[x] w2[y] c1 c2"`) and
 //!   the paper's Histories 1–7 as constants;
 //! * [`accept`] — replays a history against the *real* conflict-detection
-//!   algorithms from `wsi-core` to decide whether snapshot isolation or
-//!   write-snapshot isolation admits it;
+//!   algorithms from `wsi-core` to decide whether snapshot isolation,
+//!   write-snapshot isolation, or serializable snapshot isolation admits
+//!   it;
 //! * [`dsg`] — Adya-style direct serialization graphs over snapshot-read
 //!   semantics, with cycle detection: the ground truth for "is this history
 //!   serializable?";
@@ -44,6 +45,5 @@ pub mod examples;
 pub mod gen;
 mod ops;
 pub mod serialize;
-pub mod ssi_accept;
 
 pub use ops::{History, Op, ParseError, TxnId};

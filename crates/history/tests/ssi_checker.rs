@@ -1,9 +1,11 @@
-//! Property tests pinning `SsiOracle` to the DSG ground truth.
+//! Property tests pinning serializable snapshot isolation to the DSG ground
+//! truth.
 //!
-//! The contract SSI sells (Cahill et al., reproduced in `wsi-core::ssi`) is
-//! that every *committed* history is serializable. The `wsi-history` DSG
-//! checker is the independent referee: random interleaved histories are
-//! pushed through the oracle, refused commits are rewritten to aborts, and
+//! The contract SSI sells (Cahill et al., reproduced by `wsi-core`'s status
+//! oracle at `IsolationLevel::SerializableSnapshot`) is that every
+//! *committed* history is serializable. The `wsi-history` DSG checker is
+//! the independent referee: random interleaved histories are pushed
+//! through the oracle, refused commits are rewritten to aborts, and
 //! the surviving execution must be acyclic. The same harness shows where the
 //! three levels part ways: SI admits write skew, WSI and SSI never do, and
 //! WSI pays for it with false aborts (History 6) that SSI avoids.
@@ -11,7 +13,14 @@
 use proptest::prelude::*;
 use wsi_core::IsolationLevel;
 use wsi_history::gen::{generate, GenConfig};
-use wsi_history::{accept, anomaly, dsg, examples, ssi_accept};
+use wsi_history::{accept, anomaly, dsg, examples, History};
+
+const SSI: IsolationLevel = IsolationLevel::SerializableSnapshot;
+
+/// The history SSI actually executes: refused commits become aborts.
+fn ssi_filter(raw: &History) -> History {
+    wsi_history::gen::filter_accepted(raw, SSI)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -21,7 +30,7 @@ proptest! {
     #[test]
     fn ssi_executions_are_serializable(seed in any::<u64>()) {
         let raw = generate(GenConfig::default(), seed);
-        let executed = ssi_accept::filter_accepted(&raw);
+        let executed = ssi_filter(&raw);
         prop_assert!(
             dsg::is_serializable(&executed),
             "seed {}: SSI committed a non-serializable history: {}\ncycle: {:?}",
@@ -36,7 +45,7 @@ proptest! {
     #[test]
     fn ssi_executions_are_serializable_under_contention(seed in any::<u64>()) {
         let cfg = GenConfig { txns: 12, items: 2, max_live: 8, continue_per_mille: 700 };
-        let executed = ssi_accept::filter_accepted(&generate(cfg, seed));
+        let executed = ssi_filter(&generate(cfg, seed));
         prop_assert!(dsg::is_serializable(&executed), "seed {seed}: {executed}");
     }
 
@@ -44,7 +53,7 @@ proptest! {
     /// is defined by admitting).
     #[test]
     fn ssi_executions_never_exhibit_write_skew(seed in any::<u64>()) {
-        let executed = ssi_accept::filter_accepted(&generate(GenConfig::default(), seed));
+        let executed = ssi_filter(&generate(GenConfig::default(), seed));
         prop_assert!(!anomaly::has_write_skew(&executed), "seed {seed}: {executed}");
     }
 
@@ -55,7 +64,7 @@ proptest! {
     fn wsi_and_ssi_admissions_are_both_sound(seed in any::<u64>()) {
         let raw = generate(GenConfig::default(), seed);
         let wsi = gen_filter_wsi(&raw);
-        let ssi = ssi_accept::filter_accepted(&raw);
+        let ssi = ssi_filter(&raw);
         prop_assert!(dsg::is_serializable(&wsi), "seed {seed} (wsi): {wsi}");
         prop_assert!(dsg::is_serializable(&ssi), "seed {seed} (ssi): {ssi}");
     }
@@ -72,7 +81,7 @@ fn history6_separates_wsi_from_ssi() {
     let h6 = examples::h6();
     assert!(dsg::is_serializable(&h6));
     assert!(!accept::accepts(&h6, IsolationLevel::WriteSnapshot));
-    assert!(ssi_accept::accepts(&h6));
+    assert!(accept::accepts(&h6, SSI));
 }
 
 /// And the dual: History 4 (blind write racing a reader-writer) is admitted
@@ -81,7 +90,7 @@ fn history6_separates_wsi_from_ssi() {
 fn history4_separates_ssi_from_wsi() {
     let h4 = examples::h4();
     assert!(accept::accepts(&h4, IsolationLevel::WriteSnapshot));
-    assert!(!ssi_accept::accepts(&h4));
+    assert!(!accept::accepts(&h4, SSI));
 }
 
 /// Write skew (History 2): SI admits, both conflict-avoiding levels refuse.
@@ -90,7 +99,7 @@ fn write_skew_refused_by_both_wsi_and_ssi() {
     let h2 = examples::h2();
     assert!(accept::accepts(&h2, IsolationLevel::Snapshot));
     assert!(!accept::accepts(&h2, IsolationLevel::WriteSnapshot));
-    assert!(!ssi_accept::accepts(&h2));
+    assert!(!accept::accepts(&h2, SSI));
 }
 
 /// Quantifies the comparison on a fixed corpus: SI must admit at least one
@@ -106,7 +115,7 @@ fn corpus_exhibits_the_three_way_separation() {
         if !dsg::is_serializable(&si) {
             si_anomalies += 1;
         }
-        if ssi_accept::accepts(&raw) && !accept::accepts(&raw, IsolationLevel::WriteSnapshot) {
+        if accept::accepts(&raw, SSI) && !accept::accepts(&raw, IsolationLevel::WriteSnapshot) {
             ssi_only_admissions += 1;
         }
     }

@@ -101,12 +101,11 @@ pub enum Cause {
     },
     /// Client-requested rollback.
     Client,
-    /// A decided commit overturned because the WAL lost its write quorum.
-    QuorumLoss,
-    /// SSI dangerous structure: the victim is the pivot of consecutive
-    /// rw-antidependencies. The payload names the commit timestamps of the
-    /// two edge partners (0 when the partner is the still-active reader of
-    /// an in-edge, which has no commit timestamp yet).
+    /// SSI dangerous structure: committing the victim would complete two
+    /// consecutive rw-antidependencies. The payload names the commit
+    /// timestamps of the committed edge partners (0 for an edge the
+    /// structure closes without: the rule that refuses a transaction for
+    /// making a committed partner the pivot fires on one edge alone).
     Pivot {
         /// Commit timestamp of the in-edge partner (`T_in -rw-> victim`).
         in_commit_ts: u64,
@@ -118,7 +117,7 @@ pub enum Cause {
 impl Cause {
     /// Commit timestamps of the committed transactions this cause blames
     /// (the `explain_abort` join keys). Zero entries mean "no culprit"
-    /// (client rollbacks, `T_max`, quorum loss).
+    /// (client rollbacks, `T_max`).
     pub fn culprit_commit_ts(&self) -> Vec<u64> {
         match *self {
             Cause::WriteWrite { committed_at, .. } | Cause::ReadWrite { committed_at, .. } => {
@@ -131,7 +130,7 @@ impl Cause {
                 .into_iter()
                 .filter(|&t| t != 0)
                 .collect(),
-            Cause::Tmax { .. } | Cause::Client | Cause::QuorumLoss => Vec::new(),
+            Cause::Tmax { .. } | Cause::Client => Vec::new(),
         }
     }
 
@@ -142,7 +141,6 @@ impl Cause {
             Cause::ReadWrite { .. } => "read-write conflict",
             Cause::Tmax { .. } => "t_max exceeded",
             Cause::Client => "client rollback",
-            Cause::QuorumLoss => "wal quorum loss",
             Cause::Pivot { .. } => "ssi dangerous structure",
         }
     }
@@ -186,8 +184,8 @@ pub enum EventData {
         /// Commit timestamp stamped onto the versions.
         commit_ts: u64,
     },
-    /// A decided commit was overturned after a WAL quorum loss (the
-    /// engine-side twin of an [`Cause::QuorumLoss`] abort).
+    /// A decided commit was overturned after a WAL quorum loss; the
+    /// transaction journals no `Abort` of its own.
     Overturn {
         /// Commit timestamp that was decided and then rolled back.
         commit_ts: u64,
@@ -244,7 +242,6 @@ impl EventData {
                     Cause::ReadWrite { row, committed_at } => (2, row, committed_at),
                     Cause::Tmax { t_max } => (3, t_max, 0),
                     Cause::Client => (4, 0, 0),
-                    Cause::QuorumLoss => (5, 0, 0),
                     Cause::Pivot {
                         in_commit_ts,
                         out_commit_ts,
@@ -287,7 +284,6 @@ impl EventData {
                 },
                 3 => Cause::Tmax { t_max: a },
                 4 => Cause::Client,
-                5 => Cause::QuorumLoss,
                 6 => Cause::Pivot {
                     in_commit_ts: a,
                     out_commit_ts: b,
@@ -409,7 +405,6 @@ impl Event {
                 }
                 Cause::Tmax { t_max } => format!("ABORT t_max exceeded (t_max={t_max})"),
                 Cause::Client => "abort (client rollback)".to_string(),
-                Cause::QuorumLoss => "ABORT wal quorum loss".to_string(),
                 Cause::Pivot {
                     in_commit_ts,
                     out_commit_ts,
@@ -892,7 +887,6 @@ mod tests {
             ),
             (9, EventData::Abort(Cause::Tmax { t_max: 12 })),
             (9, EventData::Abort(Cause::Client)),
-            (9, EventData::Abort(Cause::QuorumLoss)),
             (
                 9,
                 EventData::Abort(Cause::Pivot {

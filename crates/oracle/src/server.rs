@@ -162,8 +162,9 @@ impl OracleServer {
             // SI checks and updates the same |R_w| items; they stay hot in
             // the processor cache, so they are charged once.
             IsolationLevel::Snapshot => req.write_rows.len(),
-            // WSI loads |R_r| items to check and |R_w| items to update.
-            IsolationLevel::WriteSnapshot => {
+            // WSI loads |R_r| items to check and |R_w| items to update; SSI
+            // touches both sets too (WW check plus window intersections).
+            IsolationLevel::WriteSnapshot | IsolationLevel::SerializableSnapshot => {
                 if req.is_read_only() {
                     0
                 } else {

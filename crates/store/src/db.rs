@@ -21,7 +21,9 @@
 //!   batch is durable; a quorum loss overturns the decision before any
 //!   reader could observe it.
 //! * Read-only commits and rollbacks touch no lock at all beyond their
-//!   registry shard.
+//!   registry shard — except under serializable snapshot isolation, where
+//!   a read-only commit with a non-empty read set is decided under the
+//!   oracle mutex, because the dangerous-structure rule can refuse it.
 //!
 //! The lock hierarchy is strict and acyclic: the oracle mutex may be held
 //! while taking the commit index's write lock or the pipeline's queue lock,
@@ -97,8 +99,10 @@ const WATERMARK_HINT_EVERY: u64 = 256;
 #[derive(Debug, Clone)]
 pub struct DbOptions {
     /// Which conflicts abort transactions: write-write
-    /// ([`IsolationLevel::Snapshot`]) or read-write
-    /// ([`IsolationLevel::WriteSnapshot`], serializable).
+    /// ([`IsolationLevel::Snapshot`]), read-write
+    /// ([`IsolationLevel::WriteSnapshot`], serializable), or write-write
+    /// plus dangerous structures ([`IsolationLevel::SerializableSnapshot`],
+    /// serializable).
     pub isolation: IsolationLevel,
     /// WAL persistence mode.
     pub durability: Durability,
@@ -299,6 +303,21 @@ impl DbInner {
     /// [`DbOptions::obs`] and [`DbOptions::journal`]).
     pub(crate) fn journal(&self) -> Option<&Journal> {
         self.obs.as_deref().and_then(|obs| obs.journal.as_ref())
+    }
+
+    /// Whether this database runs serializable snapshot isolation, whose
+    /// read-only commits with reads go through the oracle.
+    fn is_ssi(&self) -> bool {
+        self.options.isolation == IsolationLevel::SerializableSnapshot
+    }
+
+    /// Prunes the SSI window below the registry watermark — a true lower
+    /// bound on every active and future snapshot. Takes the oracle mutex
+    /// only at that level.
+    fn prune_ssi_window(&self, watermark: Timestamp) {
+        if self.is_ssi() {
+            self.oracle.lock().prune_ssi_window(watermark);
+        }
     }
 }
 
@@ -634,6 +653,10 @@ impl Db {
     ) -> Result<Timestamp> {
         let obs = self.inner.obs.as_deref();
         if writes.is_empty() {
+            if self.inner.is_ssi() && !read_rows.is_empty() {
+                let req = CommitRequest::new(start_ts, read_rows, Vec::new());
+                return self.commit_read_only_decided(req, shard, span);
+            }
             // Read-only fast path (§5.1): no conflict check, no WAL record,
             // no commit-table entry, no lock; never aborts. Equivalent to a
             // transaction shifted to its start point (Figure 3), hence the
@@ -827,6 +850,57 @@ impl Db {
         result
     }
 
+    /// A read-only commit the oracle must decide (serializable snapshot
+    /// isolation with a non-empty read set): the dangerous-structure rule
+    /// runs under the oracle mutex and either records the reads in the SSI
+    /// window or refuses the transaction. A refusal is booked like any
+    /// decided abort — commit index, WAL abort record, journal — and, since
+    /// a transaction's journal stream otherwise starts at its first write,
+    /// its `Begin` is journaled just before its `Abort`.
+    fn commit_read_only_decided(
+        &self,
+        req: CommitRequest,
+        shard: usize,
+        span: Option<TxnSpan>,
+    ) -> Result<Timestamp> {
+        let start_ts = req.start_ts;
+        let outcome = {
+            let mut oracle = self.inner.oracle.lock();
+            let outcome = oracle.commit(req);
+            if outcome.is_aborted() {
+                self.inner.index.record_abort(start_ts);
+                if let Some(pipeline) = &self.inner.pipeline {
+                    pipeline.push_abort(start_ts);
+                }
+            }
+            outcome
+        };
+        self.inner.registry.deregister(start_ts, shard);
+        self.tick_watermark_hint();
+        if let Some(journal) = self.inner.journal() {
+            match outcome.abort_reason() {
+                None => journal.record(start_ts.raw(), EventData::ReadOnlyCommit),
+                Some(reason) => {
+                    journal.record(start_ts.raw(), EventData::Begin);
+                    journal.record(start_ts.raw(), EventData::Abort(reason.journal_cause()));
+                }
+            }
+        }
+        if let (Some(obs), Some(mut span)) = (self.inner.obs.as_deref(), span) {
+            span.outcome = if outcome.is_committed() {
+                span.stamp(TxnPhase::Visible, self.inner.now_us());
+                SpanOutcome::ReadOnly
+            } else {
+                SpanOutcome::Aborted
+            };
+            obs.spans.finish(span);
+        }
+        match outcome.abort_reason() {
+            None => Ok(start_ts),
+            Some(reason) => Err(Error::Aborted(reason)),
+        }
+    }
+
     /// Rolls back an unfinished transaction. Called by
     /// [`Transaction::rollback`] and on drop.
     ///
@@ -928,6 +1002,7 @@ impl Db {
     /// a true lower bound for all current and future readers.
     pub fn gc(&self) -> GcStats {
         let watermark = self.inner.registry.watermark(&self.inner.ts);
+        self.inner.prune_ssi_window(watermark);
         let stats = self.inner.mvcc.gc(watermark, &self.inner.index);
         self.inner.index.prune_below(watermark);
         if let Some(obs) = &self.inner.obs {
@@ -940,17 +1015,21 @@ impl Db {
         stats
     }
 
-    /// Every [`WATERMARK_HINT_EVERY`] write commits, recompute the GC
-    /// low-water mark and feed it to the store's pruning watermark so
-    /// insert-time chain pruning stays armed between explicit [`Db::gc`]
-    /// runs. The registry's watermark is a true lower bound on every active
-    /// and future snapshot, so the hint is always sound (if stale,
+    /// Every [`WATERMARK_HINT_EVERY`] commits (write commits, plus decided
+    /// read-only commits under serializable snapshot isolation), recompute
+    /// the GC low-water mark and feed it to the store's pruning watermark
+    /// so insert-time chain pruning stays armed between explicit [`Db::gc`]
+    /// runs; under serializable snapshot isolation the same mark prunes the
+    /// oracle's SSI window, so it stays bounded without `gc()`. The
+    /// registry's watermark is a true lower bound on every active and
+    /// future snapshot, so the hint is always sound (if stale,
     /// conservative).
     fn tick_watermark_hint(&self) {
         if self.inner.wm_tick.fetch_add(1, Ordering::Relaxed) % WATERMARK_HINT_EVERY
             == WATERMARK_HINT_EVERY - 1
         {
             let watermark = self.inner.registry.watermark(&self.inner.ts);
+            self.inner.prune_ssi_window(watermark);
             self.inner.mvcc.note_watermark(watermark);
             // The same amortized tick advances the reclamation epoch and
             // frees matured limbo entries, so retired versions are
@@ -1002,6 +1081,13 @@ impl Db {
     /// `retired == freed + limbo` is exact at any quiescent point.
     pub fn reclamation(&self) -> ReclamationStats {
         self.inner.mvcc.reclamation()
+    }
+
+    /// Committed transactions currently held in the oracle's SSI window
+    /// (always 0 below [`IsolationLevel::SerializableSnapshot`]). A
+    /// diagnostic accessor: it takes the oracle mutex.
+    pub fn ssi_window_len(&self) -> usize {
+        self.inner.oracle.lock().ssi_window_len()
     }
 
     /// Dumps every stored version's `(writer_start, committed_at)` raw
@@ -1094,6 +1180,254 @@ impl std::fmt::Debug for Db {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ssi_db() -> Db {
+        Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot))
+    }
+
+    fn seeded_ssi_db(keys: &[&[u8]]) -> Db {
+        let db = ssi_db();
+        let mut seed = db.begin();
+        for key in keys {
+            seed.put(key, b"1");
+        }
+        seed.commit().unwrap();
+        db
+    }
+
+    #[test]
+    fn ssi_refuses_write_skew() {
+        let db = seeded_ssi_db(&[b"x", b"y"]);
+        let mut t1 = db.begin();
+        let mut t2 = db.begin();
+        let _ = (t1.get(b"x"), t1.get(b"y"), t2.get(b"x"), t2.get(b"y"));
+        t1.put(b"x", b"0");
+        t2.put(b"y", b"0");
+        t1.commit().unwrap();
+        assert!(matches!(
+            t2.commit(),
+            Err(Error::Aborted(AbortReason::Pivot { .. }))
+        ));
+        // The pivot's write vanished with it.
+        let mut r = db.begin();
+        assert_eq!(
+            r.get(b"y").unwrap().as_ref(),
+            b"1",
+            "t2's write must vanish"
+        );
+        assert_eq!(db.stats().oracle.pivot_aborts, 1);
+    }
+
+    #[test]
+    fn ssi_admits_history6() {
+        // The case where SSI beats WSI: the reader-writer commits last.
+        let db = seeded_ssi_db(&[b"x"]);
+        let mut t1 = db.begin();
+        let _ = t1.get(b"x"); // t1 reads x
+        let mut t2 = db.begin();
+        t2.put(b"x", b"new"); // t2 blind-writes x and commits first
+        t2.commit().unwrap();
+        t1.put(b"y", b"derived");
+        t1.commit()
+            .expect("single out-edge is not a dangerous structure");
+    }
+
+    #[test]
+    fn ssi_read_only_commit_survives_an_overwritten_read() {
+        let db = seeded_ssi_db(&[b"k"]);
+        let mut ro = db.begin();
+        let _ = ro.get(b"k");
+        let mut w = db.begin();
+        w.put(b"k", b"w");
+        w.commit().unwrap();
+        let start = ro.start_ts();
+        assert_eq!(ro.commit(), Ok(start), "read-only commits freely");
+        assert_eq!(db.stats().oracle.read_only_commits, 1);
+        assert_eq!(db.stats().active_transactions, 0);
+    }
+
+    #[test]
+    fn ssi_threads_with_retries_converge() {
+        let db = ssi_db();
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..50 {
+                        db.run(usize::MAX, |t| {
+                            let n: u64 = t
+                                .get(b"counter")
+                                .map(|v| String::from_utf8_lossy(&v).parse().unwrap())
+                                .unwrap_or(0);
+                            t.put(b"counter", (n + 1).to_string().as_bytes());
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let n: u64 = String::from_utf8_lossy(&db.snapshot().get(b"counter").unwrap())
+            .parse()
+            .unwrap();
+        assert_eq!(n, 200);
+    }
+
+    #[test]
+    fn ssi_durable_commits_survive_crash_and_recover() {
+        let options = || {
+            DbOptions::new(IsolationLevel::SerializableSnapshot).durable(LedgerConfig::local_sync())
+        };
+        let db = Db::open(options());
+        for i in 0..10u64 {
+            let mut t = db.begin();
+            t.put(format!("k{i}").as_bytes(), i.to_string().as_bytes());
+            t.commit().unwrap();
+        }
+        let ledger = db.wal_snapshot().expect("durable");
+        drop(db);
+        let recovered = Db::recover(options(), ledger).unwrap();
+        for i in 0..10u64 {
+            assert_eq!(
+                recovered
+                    .snapshot()
+                    .get(format!("k{i}").as_bytes())
+                    .unwrap()
+                    .as_ref(),
+                i.to_string().as_bytes()
+            );
+        }
+        // The recovered store keeps working, including SSI detection.
+        let mut t1 = recovered.begin();
+        let mut t2 = recovered.begin();
+        let _ = (t1.get(b"k0"), t1.get(b"k1"), t2.get(b"k0"), t2.get(b"k1"));
+        t1.put(b"k0", b"new");
+        t2.put(b"k1", b"new");
+        t1.commit().unwrap();
+        assert!(t2.commit().is_err(), "write skew refused after recovery");
+    }
+
+    #[test]
+    fn ssi_quorum_loss_overturns_the_commit_before_visibility() {
+        let options = || {
+            DbOptions::new(IsolationLevel::SerializableSnapshot)
+                .durable(LedgerConfig::default_replicated())
+        };
+        let db = Db::open(options());
+        let mut seed = db.begin();
+        seed.put(b"x", b"base");
+        seed.commit().unwrap();
+
+        db.fail_wal_bookie(0);
+        db.fail_wal_bookie(1);
+        let mut t = db.begin();
+        let _ = t.get(b"x");
+        t.put(b"x", b"lost");
+        let err = t.commit();
+        assert!(matches!(err, Err(Error::Wal(_))), "{err:?}");
+        assert_eq!(db.stats().oracle.commits, 1, "the overturn is netted out");
+        // The overturned commit's window entry stays: it can only add aborts.
+        assert_eq!(db.ssi_window_len(), 2);
+
+        // Never visible live…
+        assert_eq!(db.snapshot().get(b"x").unwrap().as_ref(), b"base");
+
+        // …and never visible after recovery either, even though the commit
+        // record may survive on the minority bookie: the compensating abort
+        // flushes once the quorum returns, and the two-pass replay skips
+        // the overturned commit.
+        db.recover_wal_bookie(0);
+        db.flush_wal().expect("quorum restored");
+        let recovered = Db::recover(options(), db.wal_snapshot().unwrap()).unwrap();
+        assert_eq!(recovered.snapshot().get(b"x").unwrap().as_ref(), b"base");
+
+        // A fresh write on the recovered store succeeds.
+        let mut t = recovered.begin();
+        t.put(b"x", b"after");
+        t.commit().unwrap();
+    }
+
+    #[test]
+    fn ssi_gc_retires_superseded_versions_and_prunes_the_window() {
+        let db = ssi_db();
+        for round in 0..5u64 {
+            let mut t = db.begin();
+            t.put(b"hot", round.to_string().as_bytes());
+            t.commit().unwrap();
+        }
+        assert_eq!(db.ssi_window_len(), 5);
+        let stats = db.gc();
+        assert!(stats.versions_dropped > 0, "{stats:?}");
+        assert_eq!(db.ssi_window_len(), 0, "no transaction in flight");
+        db.maintain();
+        let rec = db.reclamation();
+        assert_eq!(rec.retired, rec.freed + rec.limbo);
+        assert_eq!(db.snapshot().get(b"hot").unwrap().as_ref(), b"4");
+    }
+
+    #[test]
+    fn ssi_read_only_refusal_is_journaled_and_logged() {
+        // The read-only anomaly with the read-only transaction committing
+        // last: committing it would make the committed t2 a pivot.
+        let db = Db::open(
+            DbOptions::new(IsolationLevel::SerializableSnapshot)
+                .durable(LedgerConfig::local_sync()),
+        );
+        let mut t2 = db.begin();
+        let mut t1 = db.begin();
+        let _ = t1.get(b"y");
+        t1.put(b"y", b"1");
+        t1.commit().unwrap();
+        let mut t3 = db.begin();
+        let _ = (t2.get(b"x"), t2.get(b"y"));
+        t2.put(b"x", b"2");
+        let c2 = t2.commit().unwrap();
+        let _ = (t3.get(b"x"), t3.get(b"y"));
+        let t3_start = t3.start_ts();
+        assert_eq!(
+            t3.commit(),
+            Err(Error::Aborted(AbortReason::Pivot {
+                in_commit_ts: Timestamp::ZERO,
+                out_commit_ts: c2,
+            }))
+        );
+        let stats = db.stats();
+        assert_eq!(stats.oracle.pivot_aborts, 1);
+        assert_eq!(stats.oracle.read_only_commits, 0);
+        assert_eq!(stats.active_transactions, 0);
+        // The refusal's stream is Begin then Abort, and the WAL holds its
+        // abort record like any decided abort's.
+        let events: Vec<EventData> = db
+            .journal()
+            .unwrap()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.txn == t3_start.raw())
+            .map(|e| e.data)
+            .collect();
+        assert_eq!(
+            events,
+            vec![
+                EventData::Begin,
+                EventData::Abort(Cause::Pivot {
+                    in_commit_ts: 0,
+                    out_commit_ts: c2.raw(),
+                }),
+            ]
+        );
+        db.flush_wal().unwrap();
+        let aborts = db
+            .wal_snapshot()
+            .unwrap()
+            .recover()
+            .iter()
+            .filter(|p| matches!(record::decode(p), Ok(StoreRecord::Abort { start_ts }) if start_ts == t3_start))
+            .count();
+        assert_eq!(aborts, 1);
+    }
 
     #[test]
     fn backoff_grows_then_caps() {

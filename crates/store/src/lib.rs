@@ -11,6 +11,14 @@
 //! * [`wsi_core::IsolationLevel::WriteSnapshot`] — write-snapshot isolation
 //!   (read-write conflict detection, Algorithm 2). **Serializable** at
 //!   comparable cost; read-only transactions never abort.
+//! * [`wsi_core::IsolationLevel::SerializableSnapshot`] — Cahill-style
+//!   serializable snapshot isolation, the paper's §7.1 comparator: SI's
+//!   write-write check plus dangerous-structure detection. Serializable;
+//!   admits some histories WSI refuses (History 6), but read-only
+//!   transactions can abort.
+//!
+//! All three levels share one engine: the same commit path, WAL, recovery,
+//! and journal wiring, so comparing them measures isolation, not plumbing.
 //!
 //! A Percolator-style *lock-based* snapshot-isolation engine
 //! ([`percolator::PercolatorDb`]) is included as the paper's §2.1 baseline,
@@ -59,7 +67,6 @@ mod pipeline;
 mod record;
 mod registry;
 mod snapshot;
-pub mod ssi_db;
 mod txn;
 
 pub use commit_index::CommitIndex;
@@ -67,8 +74,8 @@ pub use db::{Db, DbOptions, DbStats, Durability, TxnReport};
 pub use error::{Error, Result};
 // The flight-recorder and rollup types, re-exported so embedders (and the
 // deterministic simulator, which depends on this crate but not on wsi-obs
-// directly) can consume `Db::journal` / `SsiDb::journal` output without a
-// separate dependency edge.
+// directly) can consume `Db::journal` output without a separate dependency
+// edge.
 pub use mvcc::{
     GcStats, MvccStore, ReclamationStats, SnapshotRead, VersionResolver, VersionStamps,
 };

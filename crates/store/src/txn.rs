@@ -81,7 +81,8 @@ impl Transaction {
     }
 
     /// Returns `true` if the transaction has buffered no writes (and would
-    /// take the never-aborting read-only commit path).
+    /// take the read-only commit path, which never aborts below
+    /// serializable snapshot isolation).
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
     }
@@ -124,7 +125,8 @@ impl Transaction {
     /// Journals `Begin` the first time the transaction buffers a write. A
     /// transaction that never writes can never conflict under SI/WSI, so
     /// its journal stream collapses to the single commit event — keeping
-    /// the read-only fast path at one ring write.
+    /// the read-only fast path at one ring write. (An SSI read-only
+    /// transaction the oracle refuses gets its `Begin` at the refusal.)
     fn journal_begin_on_first_write(&self) {
         if self.writes.is_empty() {
             if let Some(journal) = self.db.journal() {
@@ -180,7 +182,9 @@ impl Transaction {
 
     /// Commits the transaction.
     ///
-    /// Read-only transactions always succeed (§4.1/§5.1). Write
+    /// Read-only transactions always succeed (§4.1/§5.1), except under
+    /// serializable snapshot isolation, where a read-only transaction that
+    /// read something can close a dangerous structure and abort. Write
     /// transactions are validated by the configured isolation level; on
     /// conflict every buffered effect is rolled back and
     /// [`Error::Aborted`] is returned.

@@ -13,6 +13,10 @@
 //!   commit timestamps are globally unique.
 //! * **Obs reconciliation** — afterwards, `begins == commits + read-only
 //!   commits + aborts` and no transaction is left registered.
+//!
+//! The herd runs at all three isolation levels. Serializable snapshot
+//! isolation also gets a soak: its dangerous-structure window must stay
+//! bounded on a `Db` that never calls `gc()`.
 
 use std::sync::Mutex;
 use std::thread;
@@ -133,6 +137,53 @@ fn si_herd_keeps_invariants() {
     let db = Db::open(DbOptions::new(IsolationLevel::Snapshot));
     let log = run_herd(&db, 120);
     assert_invariants(&db, &log, 120);
+}
+
+#[test]
+fn ssi_herd_keeps_invariants() {
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+    let log = run_herd(&db, 120);
+    assert_invariants(&db, &log, 120);
+}
+
+/// The SSI window has no active set of its own: `Db` prunes it from the
+/// registry watermark on its amortized maintenance tick. 100k read-write
+/// commits (plus read-only ones, which also enter the window) run without
+/// a single `gc()`, and the window must stay under a fixed bound — a few
+/// maintenance periods' worth of commits — the whole time. One thread, so
+/// the bound is exact: concurrent threads legitimately keep every entry
+/// that committed after the oldest in-flight start, and a descheduled
+/// thread can hold that start back for any number of commits.
+#[test]
+fn ssi_window_stays_bounded_without_gc() {
+    const COMMITS: u64 = 100_000;
+    // Four maintenance periods (the tick runs every 256 commits).
+    const WINDOW_BOUND: usize = 1024;
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
+    let mut peak = 0usize;
+    for i in 0..COMMITS {
+        let key = format!("soak/{}", i % 4096).into_bytes();
+        let mut txn = db.begin();
+        let _ = txn.get(&key);
+        txn.put(&key, b"v");
+        txn.commit().expect("a lone writer never conflicts");
+        if i % 8 == 0 {
+            let mut ro = db.begin();
+            let _ = ro.get(&key);
+            ro.commit()
+                .expect("a lone reader closes no dangerous structure");
+        }
+        if i % 100 == 0 {
+            peak = peak.max(db.ssi_window_len());
+        }
+    }
+    assert!(
+        peak < WINDOW_BOUND,
+        "SSI window peaked at {peak} entries without gc()"
+    );
+    let stats = db.stats().oracle;
+    assert_eq!(stats.commits, COMMITS);
+    assert_eq!(stats.read_only_commits, COMMITS / 8);
 }
 
 #[test]

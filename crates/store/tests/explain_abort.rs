@@ -7,8 +7,7 @@
 //! per conflict class: first-committer-wins under SI, read-write
 //! invalidation under WSI, and the dangerous-structure rule under SSI.
 
-use wsi_core::IsolationLevel;
-use wsi_store::ssi_db::SsiDb;
+use wsi_core::{AbortReason, IsolationLevel};
 use wsi_store::{AbortExplanation, Cause, Db, DbOptions, Error, EventData};
 
 /// The timeline is in global causal order and contains only victim and
@@ -130,7 +129,7 @@ fn rw_abort_under_wsi_names_the_invalidating_writer() {
 
 #[test]
 fn ssi_pivot_abort_names_both_edge_partners() {
-    let db = SsiDb::open();
+    let db = Db::open(DbOptions::new(IsolationLevel::SerializableSnapshot));
     // Crossed rw-antidependencies: a reads x and writes y, b reads y and
     // writes x. Once a commits, b is a pivot with an in-edge from a (a's
     // write of y invalidates b's read) and an out-edge to a (b's write of
@@ -145,7 +144,14 @@ fn ssi_pivot_abort_names_both_edge_partners() {
     b.put(b"x", b"b");
     let a_commit = a.commit().expect("first committer wins");
     let err = b.commit().expect_err("pivot of a dangerous structure");
-    assert!(matches!(err, Error::Aborted(_)));
+    assert_eq!(
+        err,
+        Error::Aborted(AbortReason::Pivot {
+            in_commit_ts: a_commit,
+            out_commit_ts: a_commit,
+        })
+    );
+    assert_eq!(db.stats().oracle.pivot_aborts, 1);
 
     let explanation = db
         .explain_abort(b_start)

@@ -1,7 +1,7 @@
 //! WAL recovery edge cases (ISSUE 7 satellite): torn tails, compensating-
 //! abort ordering across the two-pass replay, and recovery idempotence.
 //!
-//! The contract under test is `Db::recover` / `SsiDb::recover`:
+//! The contract under test is `Db::recover`, at every isolation level:
 //!
 //! * a final record that fails to decode is a **torn tail** — the crash hit
 //!   mid-persist, the client was never acknowledged, the record is dropped;
@@ -16,7 +16,6 @@
 
 use bytes::Bytes;
 use wsi_core::IsolationLevel;
-use wsi_store::ssi_db::SsiDb;
 use wsi_store::{decode_record, encode_record, Db, DbOptions, Error, StoreRecord, VersionStamps};
 use wsi_wal::{Ledger, LedgerConfig};
 
@@ -71,14 +70,13 @@ fn torn_final_record_is_dropped_not_fatal() {
 
 #[test]
 fn ssi_recovery_tolerates_a_torn_tail_too() {
-    let db = SsiDb::open_durable(LedgerConfig::local_sync());
-    let mut t = db.begin();
-    t.put(b"k", b"v");
-    t.commit().unwrap();
+    let db = durable_db(IsolationLevel::SerializableSnapshot);
+    commit_kv(&db, b"k", b"v");
     let mut wal = db.wal_snapshot().expect("durable");
     wal.append(Bytes::from_static(&[0x10, 0x01]), u64::MAX); // truncated commit
     wal.flush(u64::MAX).unwrap();
-    let recovered = SsiDb::recover(wal).expect("torn tail is ok");
+    let recovered = Db::recover(DbOptions::new(IsolationLevel::SerializableSnapshot), wal)
+        .expect("torn tail is ok");
     let mut r = recovered.begin();
     assert_eq!(r.get(b"k").unwrap().as_ref(), b"v");
 }
@@ -105,7 +103,7 @@ fn corruption_before_the_tail_refuses_recovery() {
         matches!(err, Err(Error::Corrupt(_))),
         "mid-log corruption must refuse recovery, got {err:?}"
     );
-    let err = SsiDb::recover(wal);
+    let err = Db::recover(DbOptions::new(IsolationLevel::SerializableSnapshot), wal);
     assert!(matches!(err, Err(Error::Corrupt(_))), "{err:?}");
 }
 
@@ -155,7 +153,7 @@ fn compensating_abort_overturns_an_earlier_commit_record() {
     assert!(t.start_ts() > wsi_core::Timestamp(4));
     drop(t);
 
-    let ssi = SsiDb::recover(wal).unwrap();
+    let ssi = Db::recover(DbOptions::new(IsolationLevel::SerializableSnapshot), wal).unwrap();
     let mut t = ssi.begin();
     assert_eq!(t.get(b"x").unwrap().as_ref(), b"base");
 }

@@ -19,8 +19,9 @@ cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
 
 # Commit-path herd, again in release mode (the debug run above is too slow
-# to shake out interleavings): 8 threads on hot keys, asserting no lost
-# updates and per-row monotonic, globally unique commit timestamps.
+# to shake out interleavings): 8 threads on hot keys at every isolation
+# level, asserting no lost updates and per-row monotonic, globally unique
+# commit timestamps, plus the SSI window soak (bounded without gc()).
 cargo test -q --release -p wsi-store --test commit_stress
 
 # Version-store gates: the adaptive layout must be observationally
@@ -48,16 +49,17 @@ rm -rf "$adaptive_scratch"
 # default (64) runs when the suite is invoked without LOOM_MAX_ITERS.
 LOOM_MAX_ITERS=32 cargo test -q --release -p wsi-store --features loom --test loom_protocols
 
-# Deterministic simulation gate: the seeded fault matrix (every engine ×
-# every fault plan × three seeds, both oracles armed on every run) plus
+# Deterministic simulation gate: the seeded fault matrix (one Db at every
+# isolation level × every fault plan × three seeds, every oracle armed on
+# every run) plus
 # the same-seed replay regression and the planted-bug canary. Any oracle
 # panic prints a DST_SEED=… repro line — copy-paste it verbatim to replay
 # the failing schedule byte-for-byte, and dumps the flight-recorder
 # journal tail alongside it.
 cargo test -q -p wsi-dst
 
-# Flight-recorder gates: journal/counter/WAL reconciliation on all three
-# engines, culprit-attributed abort forensics for each conflict class
+# Flight-recorder gates: journal/counter/WAL reconciliation at all three
+# isolation levels, culprit-attributed abort forensics for each conflict class
 # (WW under SI, RW under WSI, pivot under SSI), and the retry-report
 # surface of Db::run. These run in the workspace suite above too; naming
 # them here makes the observability bar explicit and keeps a local

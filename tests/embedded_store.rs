@@ -427,51 +427,27 @@ fn percolator_thread_stress_with_cleanup() {
 
 #[test]
 fn ssi_db_crosschecks_with_wsi_on_write_skew() {
-    // The same write-skew scenario against all three engines: SI admits the
-    // anomaly, WSI and SSI refuse it.
-    use writesnap::store::ssi_db::SsiDb;
-
-    // SI: both commit (the anomaly).
-    let si = Db::open(DbOptions::new(IsolationLevel::Snapshot));
-    let mut seed = si.begin();
-    seed.put(b"x", b"1");
-    seed.put(b"y", b"1");
-    seed.commit().unwrap();
-    let mut a = si.begin();
-    let mut b = si.begin();
-    let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
-    a.put(b"x", b"0");
-    b.put(b"y", b"0");
-    assert!(
-        a.commit().is_ok() && b.commit().is_ok(),
-        "SI admits write skew"
-    );
-
-    // WSI: one aborts.
-    let wsi = Db::open(DbOptions::new(IsolationLevel::WriteSnapshot));
-    let mut seed = wsi.begin();
-    seed.put(b"x", b"1");
-    seed.put(b"y", b"1");
-    seed.commit().unwrap();
-    let mut a = wsi.begin();
-    let mut b = wsi.begin();
-    let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
-    a.put(b"x", b"0");
-    b.put(b"y", b"0");
-    let outcomes = (a.commit().is_ok(), b.commit().is_ok());
-    assert!(outcomes.0 != outcomes.1, "exactly one commits under WSI");
-
-    // SSI: one aborts.
-    let ssi = SsiDb::open();
-    let mut seed = ssi.begin();
-    seed.put(b"x", b"1");
-    seed.put(b"y", b"1");
-    seed.commit().unwrap();
-    let mut a = ssi.begin();
-    let mut b = ssi.begin();
-    let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
-    a.put(b"x", b"0");
-    b.put(b"y", b"0");
-    let outcomes = (a.commit().is_ok(), b.commit().is_ok());
-    assert!(outcomes.0 != outcomes.1, "exactly one commits under SSI");
+    // The same write-skew scenario against all three isolation levels of
+    // one engine: SI admits the anomaly, WSI and SSI refuse it.
+    for level in IsolationLevel::ALL {
+        let db = Db::open(DbOptions::new(level));
+        let mut seed = db.begin();
+        seed.put(b"x", b"1");
+        seed.put(b"y", b"1");
+        seed.commit().unwrap();
+        let mut a = db.begin();
+        let mut b = db.begin();
+        let _ = (a.get(b"x"), a.get(b"y"), b.get(b"x"), b.get(b"y"));
+        a.put(b"x", b"0");
+        b.put(b"y", b"0");
+        let outcomes = (a.commit().is_ok(), b.commit().is_ok());
+        if level == IsolationLevel::Snapshot {
+            assert!(outcomes.0 && outcomes.1, "SI admits write skew");
+        } else {
+            assert!(
+                outcomes.0 != outcomes.1,
+                "exactly one commits under {level}"
+            );
+        }
+    }
 }
